@@ -13,15 +13,19 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The suite must pass at any GOMAXPROCS; run it serial and at two procs.
+# -count 1 because the test cache does not key on GOMAXPROCS.
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count 1 ./...
+	GOMAXPROCS=2 $(GO) test -count 1 ./...
 
 # Race-check the concurrency core: the wait-free construction, the SPSC
 # queues it routes foreign keys through, and the phase-2/3 wavefront
-# scheduler (including the serial-vs-parallel bit-identity tests).
+# scheduler (including the serial-vs-parallel bit-identity tests and the
+# CI-search differential against the scan-per-varset reference).
 race:
 	$(GO) test -race ./internal/core/... ./internal/spsc/... ./internal/serve/...
-	$(GO) test -race -run 'Wavefront|FlattenedLayout' ./internal/structure/
+	$(GO) test -race -run 'Wavefront|FlattenedLayout|CISearchMatchesScanReference' ./internal/structure/
 
 # chaos runs the fault-tolerance suite under the race detector: the
 # deterministic fault-injection engine, the chaos tests that inject panics,

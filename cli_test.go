@@ -199,8 +199,10 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	cmd := exec.Command(tools["bnbench"],
 		"-exp", "build", "-m", "50000", "-n", "8", "-r", "2", "-p", "4",
 		"-metrics-addr", "127.0.0.1:0", "-metrics-linger", "30s", "-pprof")
-	var stdout bytes.Buffer
-	cmd.Stdout = &stdout
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +214,19 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		cmd.Process.Kill()
 		cmd.Wait()
 	}()
+
+	// The sweep writes one JSON report to stdout before the linger. Decode
+	// it as it arrives: the gauges polled below can appear after the first
+	// build, well before the sweep ends and the report exists.
+	var out struct {
+		Rows []struct {
+			Stats map[string]any `json:"stats"`
+		} `json:"rows"`
+		Obs map[string]any `json:"obs"`
+	}
+	var raw bytes.Buffer
+	decoded := make(chan error, 1)
+	go func() { decoded <- json.NewDecoder(io.TeeReader(stdout, &raw)).Decode(&out) }()
 
 	// The bound address is announced on stderr before the build starts.
 	var addr string
@@ -270,21 +285,19 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 	}
 
 	// The process itself reports the snapshot on stdout; it is written
-	// before the linger, so cut the linger short and collect it. Wait
-	// also joins exec's stdout copier, making the buffer safe to read.
-	cmd.Process.Kill()
-	cmd.Wait()
-	var out struct {
-		Rows []struct {
-			Stats map[string]any `json:"stats"`
-		} `json:"rows"`
-		Obs map[string]any `json:"obs"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-		t.Fatalf("bnbench -exp build stdout not parseable: %v\n%s", err, stdout.String())
+	// before the linger, so wait for the whole report, then the deferred
+	// kill cuts the linger short. The decoder goroutine owns raw until it
+	// sends on decoded.
+	select {
+	case err := <-decoded:
+		if err != nil {
+			t.Fatalf("bnbench -exp build stdout not parseable: %v\n%s", err, raw.String())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("bnbench -exp build wrote no complete stdout report within 20s")
 	}
 	if len(out.Rows) == 0 || out.Rows[0].Stats["foreign_keys"] == nil || out.Obs["counters"] == nil {
-		t.Fatalf("bnbench -exp build report incomplete:\n%s", stdout.String())
+		t.Fatalf("bnbench -exp build report incomplete:\n%s", raw.String())
 	}
 }
 

@@ -148,11 +148,11 @@ func main() {
 		res.DraftEdges, res.DraftTime.Round(time.Microsecond),
 		res.ThickenEdges, res.ThickenTime.Round(time.Microsecond),
 		res.ThinnedEdges, res.ThinTime.Round(time.Microsecond))
-	fmt.Printf("build: %v (%s), CI tests: %d (%d cond-set truncations)\n",
-		res.BuildTime.Round(time.Microsecond), res.BuildStats, res.CITests, res.CondSetTruncations)
+	fmt.Printf("build: %v (%s), freeze: %v, CI tests: %d (%d cond-set truncations)\n",
+		res.BuildTime.Round(time.Microsecond), res.BuildStats, res.FreezeTime.Round(time.Microsecond),
+		res.CITests, res.CondSetTruncations)
 	if cfg.Freeze {
-		fmt.Printf("freeze: %d entries over %d partitions in %v\n",
-			res.Freeze.Entries, res.Freeze.Partitions, res.Freeze.Duration.Round(time.Microsecond))
+		fmt.Printf("freeze: %d entries over %d partitions\n", res.Freeze.Entries, res.Freeze.Partitions)
 	}
 	if cfg.PhasePar {
 		fmt.Printf("wavefront: %d waves, %d requeued, %d wasted CI tests\n",

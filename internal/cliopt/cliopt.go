@@ -110,7 +110,7 @@ type Learn struct {
 func AddLearn(fs *flag.FlagSet) *Learn {
 	l := &Learn{}
 	fs.BoolVar(&l.PhasePar, "phase-par", false, "parallelize the thicken/thin phases with the speculative wavefront scheduler (output stays bit-identical to the serial learner)")
-	fs.IntVar(&l.MargCache, "marg-cache", 0, "marginal-cache budget in table cells, ≈8 bytes each (0 = auto: enabled with -phase-par; negative = disabled)")
+	fs.IntVar(&l.MargCache, "marg-cache", 0, "marginal-cache budget in table cells, ≈8 bytes each (0 = default 65536 cells ≈ 512 KiB; negative = disabled)")
 	fs.BoolVar(&l.Freeze, "freeze", true, "freeze the potential table into a columnar snapshot after construction so learner scans stream dense sorted memory (-freeze=false scans the live hashtables)")
 	return l
 }

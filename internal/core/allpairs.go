@@ -17,23 +17,23 @@ import (
 type MISchedule int
 
 const (
-	// MIPartitionParallel runs Algorithm 4 as written: pairs are processed
-	// one at a time, and for each pair all P workers cooperate on the
-	// marginalization (Algorithm 3 with P cores), followed by a merge and
-	// one Ent evaluation.
-	MIPartitionParallel MISchedule = iota
-	// MIPairParallel distributes pairs cyclically across workers; each
-	// worker scans the whole table for each of its pairs and computes MI
-	// locally. No synchronization per pair, but every worker reads every
-	// partition.
-	MIPairParallel
 	// MIFused makes a single pass over the table per worker, decoding each
 	// key once into its full state string and updating all n(n-1)/2
 	// contingency tables; partial contingency sets are merged at the end.
 	// This trades memory (n²r²/2 cells per worker) for touching each table
 	// entry once instead of once per pair — an optimization beyond the
-	// paper, benchmarked as ablation A3.
-	MIFused
+	// paper, and the zero value. The other schedules are ablation A3.
+	MIFused MISchedule = iota
+	// MIPartitionParallel runs Algorithm 4 as written: pairs are processed
+	// one at a time, and for each pair all P workers cooperate on the
+	// marginalization (Algorithm 3 with P cores), followed by a merge and
+	// one Ent evaluation.
+	MIPartitionParallel
+	// MIPairParallel distributes pairs cyclically across workers; each
+	// worker scans the whole table for each of its pairs and computes MI
+	// locally. No synchronization per pair, but every worker reads every
+	// partition.
+	MIPairParallel
 	// MIPairDynamic is MIPairParallel with dynamic chunk claiming instead
 	// of static cyclic assignment: workers pull the next pair from a
 	// shared atomic counter, so per-pair cost variation (mixed

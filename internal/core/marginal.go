@@ -84,6 +84,41 @@ func (mg *Marginal) SumOver(keep int) *Marginal {
 	return out
 }
 
+// SumOut marginalizes one variable away: it sums over axis (an index into
+// mg.Vars, not a variable id) and returns the marginal of the remaining
+// variables in their original order. Counts are exact, so the result equals
+// a direct table scan over the reduced varset cell for cell; the CI search
+// derives each greedy round's reduced marginals this way instead of
+// rescanning the table.
+func (mg *Marginal) SumOut(axis int) *Marginal {
+	if axis < 0 || axis >= len(mg.Vars) {
+		panic(fmt.Sprintf("core: SumOut(%d) on a %d-variable marginal", axis, len(mg.Vars)))
+	}
+	r := mg.Card[axis]
+	inner := 1
+	for _, c := range mg.Card[axis+1:] {
+		inner *= c
+	}
+	out := &Marginal{
+		Vars:   append(append(make([]int, 0, len(mg.Vars)-1), mg.Vars[:axis]...), mg.Vars[axis+1:]...),
+		Card:   append(append(make([]int, 0, len(mg.Card)-1), mg.Card[:axis]...), mg.Card[axis+1:]...),
+		Counts: make([]uint64, len(mg.Counts)/r),
+		M:      mg.M,
+	}
+	// Row-major layout: cell = (outer·r + s)·inner + i, collapsing to
+	// outer·inner + i once the axis state s is summed away.
+	for o := 0; o < len(out.Counts)/inner; o++ {
+		dst := out.Counts[o*inner : (o+1)*inner]
+		for s := 0; s < r; s++ {
+			src := mg.Counts[(o*r+s)*inner : (o*r+s+1)*inner]
+			for i, c := range src {
+				dst[i] += c
+			}
+		}
+	}
+	return out
+}
+
 // readP resolves the worker count for read-side (scan) primitives: p <= 0
 // selects GOMAXPROCS. On a live table p is additionally capped at the
 // partition count — partitions are the live path's unit of read parallelism

@@ -125,6 +125,8 @@ func TestMarginalPanics(t *testing.T) {
 		"state range":   func() { mg.Count(1, 2) },
 		"SumOver range": func() { mg.SumOver(2) },
 		"SumOver -1":    func() { mg.SumOver(-1) },
+		"SumOut range":  func() { mg.SumOut(2) },
+		"SumOut -1":     func() { mg.SumOut(-1) },
 	} {
 		func() {
 			defer func() {

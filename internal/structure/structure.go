@@ -66,7 +66,9 @@ type Config struct {
 	Alpha float64
 	// P is the number of workers for the parallel phases. 0 = GOMAXPROCS.
 	P int
-	// Schedule selects the all-pairs MI strategy. Default MIFused.
+	// Schedule selects the all-pairs MI strategy. The zero value is
+	// core.MIFused, one table pass for every pair; the other schedules are
+	// the A3 ablation and must be selected explicitly.
 	Schedule core.MISchedule
 	// MaxCondSet caps the size of conditioning sets in try-to-separate.
 	// Default 6; larger sets make CI estimates unreliable and marginal
@@ -90,9 +92,8 @@ type Config struct {
 	// the wave size while thinning is already near its fusion ceiling at 32.
 	WaveSize int
 	// MargCacheCells bounds the varset→marginal cache, in table cells
-	// (≈ 8·cells bytes). 0 enables a default-sized cache (2^21 cells) when
-	// PhasePar is set and disables it otherwise; negative disables the
-	// cache unconditionally.
+	// (≈ 8·cells bytes). 0 enables a default-sized cache (2^16 cells ≈
+	// 512 KiB), serial or wavefront alike; negative disables the cache.
 	MargCacheCells int
 	// Freeze captures a frozen columnar snapshot of the potential table
 	// before the read phases run, so every scan (drafting MI, CI-test
@@ -117,9 +118,9 @@ type Config struct {
 	BuildOptions core.Options
 }
 
-// defaultMargCacheCells sizes the marginal cache when MargCacheCells is 0
-// and the wavefront is on: 2^21 cells ≈ 16 MiB of counts.
-const defaultMargCacheCells = 1 << 21
+// defaultMargCacheCells sizes the marginal cache when MargCacheCells is 0:
+// 2^16 cells ≈ 512 KiB of counts, the same budget as bnserve -marg-cache.
+const defaultMargCacheCells = 1 << 16
 
 func (c Config) withDefaults() Config {
 	if c.Epsilon <= 0 {
@@ -170,7 +171,8 @@ type Result struct {
 	Requeued      int // wave items invalidated by an earlier commit and retried
 	WastedCITests int // CI tests computed speculatively and then discarded
 
-	BuildTime   time.Duration // potential-table construction
+	BuildTime   time.Duration // potential-table construction (LearnCtx only)
+	FreezeTime  time.Duration // columnar snapshot (zero when Config.Freeze is off)
 	DraftTime   time.Duration // all-pairs MI + draft assembly
 	ThickenTime time.Duration
 	ThinTime    time.Duration
@@ -206,11 +208,12 @@ func LearnCtx(ctx context.Context, data *dataset.Dataset, cfg Config) (*Result, 
 	if err != nil {
 		return nil, fmt.Errorf("structure: %w", err)
 	}
+	buildTime := time.Since(start)
 	res, err := LearnFromTableCtx(ctx, pt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.BuildTime = time.Since(start) - res.DraftTime - res.ThickenTime - res.ThinTime
+	res.BuildTime = buildTime
 	res.BuildStats = st
 	return res, nil
 }
@@ -236,15 +239,17 @@ func LearnFromTableCtx(ctx context.Context, pt *core.PotentialTable, cfg Config)
 		// Construction has completed by the time a table reaches the
 		// learner, so the partitions are quiescent — the freeze point the
 		// snapshot contract requires.
+		t := time.Now()
 		st, err := pt.FreezeCtx(ctx, cfg.P)
 		if err != nil {
 			return nil, err
 		}
+		res.FreezeTime = time.Since(t)
 		res.Freeze = st
 	}
 	l := &learner{ctx: ctx, pt: pt, cfg: cfg, res: res}
-	if cells := cfg.MargCacheCells; cells > 0 || (cells == 0 && cfg.PhasePar) {
-		if cells <= 0 {
+	if cells := cfg.MargCacheCells; cells >= 0 {
+		if cells == 0 {
 			cells = defaultMargCacheCells
 		}
 		l.cache = core.NewMarginalCache(cells, cfg.BuildOptions.Obs)
@@ -530,7 +535,13 @@ func (e *ciEval) truncate(c []int, x, y int) []int {
 }
 
 // separates runs the greedy shrink loop on one candidate conditioning set,
-// returning the separating set it found.
+// returning the separating set it found. The table is scanned once per
+// candidate set: the first test reads the joint marginal over
+// (c..., x, y), and every greedy round derives its |c| reduced marginals by
+// summing one conditioning axis out of the current joint in memory. Counts
+// are exact, so each derived marginal equals a direct scan cell for cell and
+// every CMI value and decision is the one a scan per varset gives; the
+// winning reduction becomes the next round's joint.
 func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 	if len(cand) == 0 {
 		return nil, false, nil
@@ -539,67 +550,53 @@ func (e *ciEval) separates(cand []int, x, y int) ([]int, bool, error) {
 	if len(c) > e.cfg.MaxCondSet {
 		c = e.truncate(c, x, y)
 	}
-	v, err := e.cmi(x, y, c)
+	e.tests++
+	vars := make([]int, 0, len(c)+2)
+	vars = append(vars, c...)
+	vars = append(vars, x, y)
+	ms, err := e.src.marginals([][]int{vars})
 	if err != nil {
 		return nil, false, err
 	}
-	if !e.dependent(v, x, y, e.condCells(c)) {
+	joint := ms[0]
+	v, rz := condMI(joint)
+	if !e.dependent(v, x, y, rz) {
 		return c, true, nil
 	}
 	for len(c) > 1 {
 		if err := e.checkCtx(); err != nil {
 			return nil, false, err
 		}
-		// The |C| candidate reductions are independent marginalizations;
-		// batch them through the fused multi-marginal primitive so the
-		// table is scanned once per greedy round instead of once per
-		// candidate.
-		reductions := make([][]int, len(c))
-		varsets := make([][]int, len(c))
-		for k := range c {
-			reduced := make([]int, 0, len(c)-1)
-			reduced = append(reduced, c[:k]...)
-			reduced = append(reduced, c[k+1:]...)
-			reductions[k] = reduced
-			vars := make([]int, 0, len(reduced)+2)
-			vars = append(vars, reduced...)
-			vars = append(vars, x, y)
-			varsets[k] = vars
-		}
-		marginals, err := e.src.marginals(varsets)
-		if err != nil {
-			return nil, false, err
-		}
 		e.tests += len(c)
-		ri := e.pt.Codec().Cardinality(x)
-		rj := e.pt.Codec().Cardinality(y)
 		bestIdx, bestV := -1, v
+		var best *core.Marginal
 		for k := range c {
-			vk := stats.CondMutualInfoCounts(marginals[k].Counts, e.condCells(reductions[k]), ri, rj)
-			if !e.dependent(vk, x, y, e.condCells(reductions[k])) {
-				return reductions[k], true, nil
+			reduced := joint.SumOut(k)
+			vk, rzk := condMI(reduced)
+			if !e.dependent(vk, x, y, rzk) {
+				return append(append([]int(nil), c[:k]...), c[k+1:]...), true, nil
 			}
 			if vk <= bestV {
-				bestIdx, bestV = k, vk
+				bestIdx, bestV, best = k, vk, reduced
 			}
 		}
 		if bestIdx < 0 {
 			return nil, false, nil // every reduction increases dependence
 		}
 		c = append(c[:bestIdx], c[bestIdx+1:]...)
-		v = bestV
+		joint, v = best, bestV
 	}
 	return nil, false, nil
 }
 
-// condCells returns the joint state count of a conditioning set, the rz
-// axis of the flattened contingency table.
-func (e *ciEval) condCells(z []int) int {
-	rz := 1
-	for _, zv := range z {
-		rz *= e.pt.Codec().Cardinality(zv)
-	}
-	return rz
+// condMI computes I(x;y|Z) from a marginal in the (Z..., x, y) layout that
+// stats.CondMutualInfoCounts expects, returning it with Z's joint state
+// count rz.
+func condMI(mg *core.Marginal) (float64, int) {
+	k := len(mg.Card)
+	ri, rj := mg.Card[k-2], mg.Card[k-1]
+	rz := len(mg.Counts) / (ri * rj)
+	return stats.CondMutualInfoCounts(mg.Counts, rz, ri, rj), rz
 }
 
 // dependent applies the configured CI decision rule to an observed
@@ -625,24 +622,6 @@ func dependentStat(pt *core.PotentialTable, cfg Config, statBits float64, x, y, 
 	default:
 		return statBits >= cfg.Epsilon
 	}
-}
-
-// cmi computes I(x;y|Z) from the potential table by marginalizing over
-// Z ∪ {x, y} (ordering Z first so the flattened layout matches
-// stats.CondMutualInfoCounts).
-func (e *ciEval) cmi(x, y int, z []int) (float64, error) {
-	e.tests++
-	vars := make([]int, 0, len(z)+2)
-	vars = append(vars, z...)
-	vars = append(vars, x, y)
-	ms, err := e.src.marginals([][]int{vars})
-	if err != nil {
-		return 0, err
-	}
-	rz := e.condCells(z)
-	ri := e.pt.Codec().Cardinality(x)
-	rj := e.pt.Codec().Cardinality(y)
-	return stats.CondMutualInfoCounts(ms[0].Counts, rz, ri, rj), nil
 }
 
 // SkeletonMetrics compares a learned skeleton against the skeleton of a
