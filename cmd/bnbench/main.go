@@ -57,7 +57,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write long-form CSV to this file")
 		accNet   = flag.String("net", "asia", "ground-truth network for -exp accuracy: asia|cancer|chain10|naivebayes10")
 		waveSize = flag.Int("wavesize", 0, "speculation wave size for -exp phases (0 = learner default)")
-		wbList   = flag.String("wblist", "1,64", "comma-separated write-batch sizes for the -exp build sweep (1 = legacy per-key path)")
+		wbList   = flag.String("wblist", "1,64", "comma-separated write-batch sizes for the -exp build sweep (1 = every foreign key published alone)")
 		srvDur   = flag.Duration("serve-dur", 0, "-exp serve: wall time per sweep cell (0 = 2s)")
 		srvCl    = flag.String("clients", "1,4,16", "-exp serve: comma-separated closed-loop client counts")
 		srvWf    = flag.String("wflist", "0,0.1", "-exp serve: comma-separated ingest-write fractions")
@@ -300,8 +300,8 @@ func main() {
 // runInstrumentedBuild sweeps the wait-free construction over P ×
 // write-batch on a synthetic uniform dataset, with full observability and a
 // built-in bit-identity assertion: every configuration's table must equal
-// the first (P from the sweep, write-batch 1) reference, so the bench
-// doubles as the batched-vs-legacy equivalence check. Timed rows plus the
+// the sequential oracle (core.BuildSequential), so the bench doubles as an
+// equivalence check across P and write-batch. Timed rows plus the
 // obs snapshot of the final run go to stdout as JSON; -metrics-addr serves
 // the same data as Prometheus text for as long as -metrics-linger allows.
 func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliopt.Obs, m, n, r, maxP, reps int, wbs []int, seed uint64, artDir string) {
@@ -343,8 +343,11 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 		Obs        obs.Snapshot `json:"obs"`
 	}{Experiment: "build", Flags: setFlags(), M: m, N: n, R: r}
 
-	var ref *core.PotentialTable // write-batch-1 table at the first P
-	var baseSec float64          // legacy P=ps[0] time, the speedup denominator
+	ref, err := core.BuildSequential(data)
+	if err != nil {
+		fatal(err)
+	}
+	var baseSec float64 // first configuration's time, the speedup denominator
 	for _, p := range ps {
 		for _, wb := range wbs {
 			if err := ctx.Err(); err != nil {
@@ -363,11 +366,11 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 					fatal(err)
 				}
 			})
-			if ref == nil {
-				ref = pt
+			if !pt.Equal(ref) {
+				fatal(fmt.Errorf("build: P=%d write-batch=%d table differs from the sequential build", p, wb))
+			}
+			if baseSec == 0 {
 				baseSec = sec
-			} else if !pt.Equal(ref) {
-				fatal(fmt.Errorf("build: P=%d write-batch=%d table differs from the write-batch=%d reference", p, wb, wbs[0]))
 			}
 			out.Rows = append(out.Rows, row{P: p, WriteBatch: wb, Seconds: sec, Speedup: baseSec / sec, Stats: st})
 			fmt.Fprintf(os.Stderr, "build: P=%d wb=%d %.3fs (%.2fx) distinct=%d\n", p, wb, sec, baseSec/sec, st.DistinctKeys)

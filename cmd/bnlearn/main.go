@@ -177,12 +177,7 @@ func runHillClimb(ctx context.Context, data *dataset.Dataset, opts core.Options,
 		fatal(err)
 	}
 	fmt.Printf("build: %s\n", st)
-	// HillClimb has no context plumbing yet; honor a deadline or Ctrl-C that
-	// fired during the build before committing to the search.
-	if err := ctx.Err(); err != nil {
-		fatal(context.Cause(ctx))
-	}
-	res, err := search.HillClimb(pt, search.Config{P: opts.P})
+	res, err := search.HillClimbCtx(ctx, pt, search.Config{P: opts.P})
 	if err != nil {
 		fatal(err)
 	}

@@ -56,7 +56,7 @@ func main() {
 
 	// --- Paradigm 2: score-based search (BIC hill climbing) ---
 	t1 := time.Now()
-	hc, err := search.HillClimb(pt, search.Config{P: 4})
+	hc, err := search.HillClimbCtx(ctx, pt, search.Config{P: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

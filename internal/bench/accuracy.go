@@ -61,7 +61,7 @@ func Accuracy(network string, ms []int, seed uint64, p int) (string, error) {
 		cbGap := llGap(cb.PDAG, train, test, net, llTrue, p)
 
 		// Score-based hill climbing.
-		hc, err := search.HillClimb(pt, search.Config{P: p})
+		hc, err := search.HillClimbCtx(context.Background(), pt, search.Config{P: p})
 		if err != nil {
 			return "", err
 		}

@@ -50,7 +50,7 @@ func AddCore(fs *flag.FlagSet) *Core {
 	fs.IntVar(&c.RingCap, "ring-cap", 0, "per-queue capacity for -queue ring (0 = size for a full worker block)")
 	fs.StringVar(&c.Table, "table", "open", "per-partition count table: open|chained|gomap|dense")
 	fs.IntVar(&c.TableHint, "table-hint", 0, "pre-size each partition table for this many entries (0 = heuristic)")
-	fs.IntVar(&c.WriteBatch, "write-batch", 0, "write-combining buffer size for the batched write path (0 = default 64; 1 = legacy per-key path)")
+	fs.IntVar(&c.WriteBatch, "write-batch", 0, "per-destination write-combining buffer size in keys (0 = default 64; 1 = every foreign key published alone)")
 	fs.BoolVar(&c.HotSplit, "hot-split", false, "promote hot keys (detected from write-combining flush statistics) to core-private delta counters merged at the build barrier, bypassing the SPSC queues")
 	fs.IntVar(&c.HotThreshold, "hot-threshold", 0, "combined per-flush delta at which a key is promoted to the hot-split path (0 = default 8; needs -hot-split)")
 	return c

@@ -58,9 +58,9 @@ type Options struct {
 	// core-private buffer, duplicates are combined into (key, delta)
 	// words, and full buffers flush with one PushBatch — one atomic
 	// publish per batch instead of one per key. 0 selects the default
-	// (defaultWriteBatch); 1 selects the legacy per-key path, kept as the
-	// ablation baseline; values above maxWriteBatch are clamped. Both
-	// paths produce bit-identical tables.
+	// (defaultWriteBatch); 1 publishes every foreign key on its own;
+	// values above maxWriteBatch are clamped. Every size produces a
+	// bit-identical table.
 	WriteBatch int
 	// HotSplit enables skew-adaptive hot-key splitting on the batched
 	// write path: keys whose write-combined delta crosses HotThreshold in
@@ -174,21 +174,19 @@ func (o Options) withDefaults(m int, keySpace uint64) (Options, bool) {
 type Stats struct {
 	P         int    // workers used
 	LocalKeys uint64 // stage-1 keys updated directly in the owner's table
-	// ForeignKeys counts the logical keys routed through queues. With the
-	// batched write path duplicates are combined into (key, delta) words
-	// before queueing, so fewer words travel; ForeignKeys still counts
-	// keys (the pre-aggregation count), and Stage2Pops counts the key
-	// mass drained (sum of deltas) — the two remain exactly equal on
-	// success, batched or not.
+	// ForeignKeys counts the logical keys routed through queues.
+	// Duplicates are combined into (key, delta) words before queueing, so
+	// fewer words travel; ForeignKeys still counts keys (the
+	// pre-aggregation count), and Stage2Pops counts the key mass drained
+	// (sum of deltas) — the two remain exactly equal on success.
 	ForeignKeys  uint64
 	Stage2Pops   uint64 // key mass drained in stage 2 (== ForeignKeys on success)
 	DistinctKeys int    // table entries after construction
 
-	// WriteBatch is the per-destination buffer size actually applied
-	// (1 = legacy per-key path). BatchFlushes counts write-combining
-	// buffer flushes (PushBatch calls); ForeignDupes counts duplicate
-	// foreign keys combined into deltas before queueing. Both are 0 on
-	// the legacy path.
+	// WriteBatch is the per-destination buffer size actually applied.
+	// BatchFlushes counts write-combining buffer flushes (PushBatch
+	// calls); ForeignDupes counts duplicate foreign keys combined into
+	// deltas before queueing.
 	WriteBatch   int
 	BatchFlushes uint64
 	ForeignDupes uint64
@@ -316,8 +314,7 @@ func BuildCtx(ctx context.Context, data *dataset.Dataset, opts Options) (*Potent
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
-	return buildCtx(ctx, keySourceFromDataset(data, codec), blockFromDataset(data, codec),
-		codec, data.NumSamples(), opts)
+	return buildCtx(ctx, blockFromDataset(data, codec), codec, data.NumSamples(), opts)
 }
 
 // KeySource yields the key of sample i. Build encodes rows on the fly
@@ -326,16 +323,10 @@ func BuildCtx(ctx context.Context, data *dataset.Dataset, opts Options) (*Potent
 // table-update cost from encode cost.
 type KeySource func(i int) uint64
 
-// blockSource fills dst[:hi-lo] with the keys of samples [lo, hi). The
-// batched write path pulls keys in encodeBlockRows-sized blocks so the
-// encode runs column-major over a slab (encoding.EncodeRows/EncodeFlat)
-// instead of row by row; the legacy WriteBatch=1 path keeps pulling
-// per-key from a KeySource.
+// blockSource fills dst[:hi-lo] with the keys of samples [lo, hi). Workers
+// pull keys in encodeBlockRows-sized blocks so the encode runs column-major
+// over a slab (encoding.EncodeRows/EncodeFlat) instead of row by row.
 type blockSource func(lo, hi int, dst []uint64)
-
-func keySourceFromDataset(data *dataset.Dataset, codec *encoding.Codec) KeySource {
-	return func(i int) uint64 { return codec.Encode(data.Row(i)) }
-}
 
 func blockFromDataset(data *dataset.Dataset, codec *encoding.Codec) blockSource {
 	return func(lo, hi int, dst []uint64) {
@@ -383,12 +374,10 @@ const cancelCheckStride = 8192
 
 // twoStage bundles the shared state of one two-stage construction episode;
 // BuildKeysCtx runs one over a full key stream, Builder.addKeys one per
-// incremental block. source feeds the legacy per-key path (WriteBatch=1);
-// block feeds the batched path; keyBits is bits.Len64(keySpace-1), the
-// width of the key field in a queued delta word.
+// incremental block. block feeds the workers their keys; keyBits is
+// bits.Len64(keySpace-1), the width of the key field in a queued delta word.
 type twoStage struct {
 	m      int
-	source KeySource
 	block  blockSource
 	parts  []hashtable.Counter
 	queues queueMatrix
@@ -465,7 +454,8 @@ func keyFieldBits(keySpace uint64) uint {
 	return uint(bits.Len64(keySpace - 1))
 }
 
-// overflowErr is the bounded-queue failure both write paths surface.
+// overflowErr is the bounded-queue failure a full ring surfaces under
+// Options.NoSpill.
 func (ts twoStage) overflowErr(w, dst int) error {
 	return fmt.Errorf("core: queue %d→%d overflow (ring capacity %d); use spsc.KindChunked, a larger RingCapacity, or drop Options.NoSpill", w, dst, ts.ringCap)
 }
@@ -508,123 +498,16 @@ func combineDeltas(buf []uint64, keyBits uint, maxDelta uint64) ([]uint64, uint6
 // cancels the peers, and runTwoStage returns only after every worker
 // goroutine has exited.
 //
-// WriteBatch selects the worker body: >1 runs the batched write path
-// (block encode, write-combining buffers, pre-aggregated deltas, batch
-// drains); 1 runs the legacy per-key path. Both produce bit-identical
-// tables; wait-freedom is untouched either way, since every buffer is
-// core-private and the only cross-core structures remain the SPSC queues.
+// Wait-freedom holds at every WriteBatch: every buffer is core-private and
+// the only cross-core structures remain the SPSC queues.
 func runTwoStage(ctx context.Context, p int, ts twoStage, ws []workerStats) error {
 	spans := sched.BlockPartition(ts.m, p)
-	batched := ts.writeBatch > 1
 	return sched.RunCtx(ctx, p, func(ctx context.Context, w int) error {
-		if batched {
-			return ts.runWorkerBatched(ctx, p, w, spans[w], ws)
-		}
-		return ts.runWorkerLegacy(ctx, p, w, spans[w], ws)
+		return ts.runWorker(ctx, p, w, spans[w], ws)
 	})
 }
 
-// runWorkerLegacy is the original per-key worker body, kept verbatim as
-// the WriteBatch=1 ablation baseline.
-func (ts twoStage) runWorkerLegacy(ctx context.Context, p, w int, span sched.Span, ws []workerStats) error {
-	plan := faultinject.Active() // hoisted: nil = disabled fast path
-	done := ctx.Done()
-
-	// ---- Stage 1 (Algorithm 1): classify, update own table, route
-	// foreign keys. Writes: parts[w], tails of queues[w][*].
-	t0 := time.Now()
-	table := ts.parts[w]
-	outs := ts.queues[w]
-	var local, foreign uint64
-	var failure error
-	plan.MaybePanic(faultinject.PanicStage1, w, 0)
-	check := cancelCheckStride
-	for i := span.Lo; i < span.Hi; i++ {
-		if check--; check == 0 {
-			check = cancelCheckStride
-			select {
-			case <-done:
-				ws[w].local, ws[w].foreign = local, foreign
-				ws[w].stage1 = time.Since(t0)
-				return context.Cause(ctx)
-			default:
-			}
-		}
-		key := ts.source(i)
-		h := ts.home(key)
-		dst := ts.homes[h]
-		if dst == w {
-			// parts[h] == table unless a Rebalance remapped ownership;
-			// indexing by home keeps both cases one store.
-			ts.parts[h].Inc(key)
-			local++
-		} else {
-			if plan.Fire(faultinject.QueuePushFail, w, foreign) || !outs[dst].Push(key) {
-				failure = ts.overflowErr(w, dst)
-				break
-			}
-			foreign++
-		}
-	}
-	ws[w].local, ws[w].foreign = local, foreign
-	ws[w].stage1 = time.Since(t0)
-	if failure != nil {
-		// Poison the barrier before leaving so peers already spinning
-		// in it return the root cause instead of waiting on a party
-		// that will never arrive (RunCtx's cancellation is the second,
-		// redundant escape hatch).
-		ts.barrier.Abort(failure)
-		return failure
-	}
-
-	// ---- The single synchronization step between the stages.
-	plan.MaybeStall(w, 0)
-	bd, berr := ts.barrier.WaitTimedCtx(ctx)
-	ws[w].barrier = bd
-	if berr != nil {
-		return berr
-	}
-	plan.MaybePanic(faultinject.PanicStage2, w, 0)
-
-	// ---- Stage 2 (Algorithm 2): drain queues addressed to w.
-	// Reads: heads of queues[*][w]; writes: parts[w].
-	t1 := time.Now()
-	var pops uint64
-	check = cancelCheckStride
-	for src := 0; src < p; src++ {
-		if src == w {
-			continue
-		}
-		q := ts.queues[src][w]
-		for {
-			if check--; check == 0 {
-				check = cancelCheckStride
-				select {
-				case <-done:
-					ws[w].pops = pops
-					ws[w].stage2 = time.Since(t1)
-					return context.Cause(ctx)
-				default:
-				}
-			}
-			key, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if ts.remapped {
-				ts.parts[ts.home(key)].Inc(key)
-			} else {
-				table.Inc(key)
-			}
-			pops++
-		}
-	}
-	ws[w].pops = pops
-	ws[w].stage2 = time.Since(t1)
-	return nil
-}
-
-// runWorkerBatched is the block-oriented worker body. Stage 1 pulls keys
+// runWorker is the block-oriented worker body. Stage 1 pulls keys
 // in encodeBlockRows blocks (column-major encode), classifies them into
 // core-private per-destination buffers of writeBatch keys, combines
 // duplicates into delta words at flush, and publishes each flush with one
@@ -640,10 +523,10 @@ func (ts twoStage) runWorkerLegacy(ctx context.Context, p, w int, span sched.Spa
 // counter and the queue-push fault point, so the fault sequence under
 // splitting simply has fewer events, never reordered ones.
 //
-// Queue-push faults fire per logical key at buffer-append time, with the
-// same (worker, running-foreign-count) sequence the legacy path uses, so
-// existing chaos seeds keep their meaning.
-func (ts twoStage) runWorkerBatched(ctx context.Context, p, w int, span sched.Span, ws []workerStats) error {
+// Queue-push faults fire per logical key at buffer-append time, indexed by
+// (worker, running foreign count), so a chaos seed fails the same builds at
+// every WriteBatch.
+func (ts twoStage) runWorker(ctx context.Context, p, w int, span sched.Span, ws []workerStats) error {
 	plan := faultinject.Active() // hoisted: nil = disabled fast path
 	done := ctx.Done()
 	deltaBits := 64 - ts.keyBits
@@ -920,13 +803,13 @@ func BuildKeys(source KeySource, codec *encoding.Codec, m int, opts Options) (*P
 // BuildKeysCtx is BuildKeys under the fault-tolerant execution contract
 // (see BuildCtx).
 func BuildKeysCtx(ctx context.Context, source KeySource, codec *encoding.Codec, m int, opts Options) (*PotentialTable, Stats, error) {
-	return buildCtx(ctx, source, blockFromKeySource(source), codec, m, opts)
+	return buildCtx(ctx, blockFromKeySource(source), codec, m, opts)
 }
 
 // buildCtx is the shared construction entry point: BuildCtx feeds it
 // dataset-backed sources (block = column-major slab encode), BuildKeysCtx
 // arbitrary key streams (block = per-key gather).
-func buildCtx(ctx context.Context, source KeySource, block blockSource, codec *encoding.Codec, m int, opts Options) (*PotentialTable, Stats, error) {
+func buildCtx(ctx context.Context, block blockSource, codec *encoding.Codec, m int, opts Options) (*PotentialTable, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, context.Cause(ctx)
 	}
@@ -952,7 +835,6 @@ func buildCtx(ctx context.Context, source KeySource, block blockSource, codec *e
 	ws := make([]workerStats, p)
 	if err := runTwoStage(ctx, p, twoStage{
 		m:          m,
-		source:     source,
 		block:      block,
 		parts:      parts,
 		queues:     queues,

@@ -18,10 +18,8 @@ func uniformData(t testing.TB, m, n, r int, seed uint64) *dataset.Dataset {
 
 // assertStatsInvariant checks the accounting identity every successful
 // build must satisfy: the foreign key mass routed in stage 1 equals the key
-// mass drained in stage 2. On the legacy path both sides count individual
-// pushes/pops; on the batched path ForeignKeys counts logical keys before
-// delta aggregation and Stage2Pops sums the drained deltas — the identity
-// is numerically unchanged.
+// mass drained in stage 2. ForeignKeys counts logical keys before delta
+// aggregation and Stage2Pops sums the drained deltas.
 func assertStatsInvariant(t *testing.T, st Stats) {
 	t.Helper()
 	if st.Stage2Pops != st.ForeignKeys {
@@ -106,12 +104,13 @@ func TestBuildAllOptionCombinations(t *testing.T) {
 	}
 }
 
-// TestBuildBatchedMatchesLegacy is the bit-identity matrix of the batched
-// write path: for every queue kind × table kind × P ∈ {1, 4, 8}, the
-// batched build (several batch sizes, including ones that force mid-block
-// and partial flushes) must equal both the legacy WriteBatch=1 build and
-// the sequential oracle, with the key-mass accounting identity intact.
-func TestBuildBatchedMatchesLegacy(t *testing.T) {
+// TestBuildWriteBatchesMatchSequential is the bit-identity matrix of the
+// write path: for every queue kind × table kind × P ∈ {1, 4, 8}, builds at
+// several batch sizes (1 publishes each key alone; the others force
+// mid-block and partial flushes) must equal the sequential oracle, with the
+// key-mass accounting identity intact and the same local/foreign split at
+// every size.
+func TestBuildWriteBatchesMatchSequential(t *testing.T) {
 	d := uniformData(t, 12000, 8, 3, 9)
 	ref, err := BuildSequential(d)
 	if err != nil {
@@ -120,26 +119,21 @@ func TestBuildBatchedMatchesLegacy(t *testing.T) {
 	for _, p := range []int{1, 4, 8} {
 		for _, q := range []spsc.Kind{spsc.KindChunked, spsc.KindRing, spsc.KindMutex} {
 			for _, tk := range []TableKind{TableOpenAddressing, TableChained, TableGoMap, TableDense} {
-				legacy, lst, err := Build(d, Options{P: p, Queue: q, Table: tk, WriteBatch: 1})
-				if err != nil {
-					t.Fatalf("P=%d/%v/%v legacy: %v", p, q, tk, err)
-				}
-				if !legacy.Equal(ref) {
-					t.Fatalf("P=%d/%v/%v: legacy table differs from sequential", p, q, tk)
-				}
-				assertStatsInvariant(t, lst)
-				for _, wb := range []int{2, 64, 4096} {
+				var first Stats
+				for i, wb := range []int{1, 2, 64, 4096} {
 					pt, st, err := Build(d, Options{P: p, Queue: q, Table: tk, WriteBatch: wb})
 					if err != nil {
 						t.Fatalf("P=%d/%v/%v/wb=%d: %v", p, q, tk, wb, err)
 					}
-					if !pt.Equal(legacy) {
-						t.Fatalf("P=%d/%v/%v/wb=%d: batched table differs from legacy", p, q, tk, wb)
+					if !pt.Equal(ref) {
+						t.Fatalf("P=%d/%v/%v/wb=%d: table differs from sequential", p, q, tk, wb)
 					}
 					assertStatsInvariant(t, st)
-					if st.ForeignKeys != lst.ForeignKeys || st.LocalKeys != lst.LocalKeys {
-						t.Fatalf("P=%d/%v/%v/wb=%d: key accounting differs from legacy: local %d/%d foreign %d/%d",
-							p, q, tk, wb, st.LocalKeys, lst.LocalKeys, st.ForeignKeys, lst.ForeignKeys)
+					if i == 0 {
+						first = st
+					} else if st.ForeignKeys != first.ForeignKeys || st.LocalKeys != first.LocalKeys {
+						t.Fatalf("P=%d/%v/%v/wb=%d: key accounting differs from wb=1: local %d/%d foreign %d/%d",
+							p, q, tk, wb, st.LocalKeys, first.LocalKeys, st.ForeignKeys, first.ForeignKeys)
 					}
 					if p > 1 && st.ForeignKeys > 0 && st.BatchFlushes == 0 {
 						t.Fatalf("P=%d/%v/%v/wb=%d: foreign keys routed but no batch flushes recorded", p, q, tk, wb)
@@ -229,7 +223,7 @@ func TestBuildKeysRingOverflowReturnsError(t *testing.T) {
 	for i := range keys {
 		keys[i] = 1 // owner 1 under modulo partitioning with P=2
 	}
-	// Legacy path: every duplicate occupies its own ring slot, so 32
+	// WriteBatch 1: every duplicate flushes as its own word, so 32
 	// pushes into a 2-slot ring must overflow.
 	_, _, err = BuildKeys(KeySourceFromSlice(keys), codec, len(keys),
 		Options{P: 2, Queue: spsc.KindRing, RingCapacity: 2, NoSpill: true, WriteBatch: 1})
@@ -240,7 +234,7 @@ func TestBuildKeysRingOverflowReturnsError(t *testing.T) {
 		t.Fatalf("overflow error does not report the capacity: %v", err)
 	}
 
-	// Batched path: delta aggregation collapses the 32 duplicates into a
+	// Default batch: delta aggregation collapses the 32 duplicates into a
 	// single (key, delta) word, so the same undersized ring now succeeds —
 	// the write-combining buffer is itself a spill-avoidance mechanism.
 	pt0, st0, err := BuildKeys(KeySourceFromSlice(keys), codec, len(keys),

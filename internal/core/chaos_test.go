@@ -228,12 +228,12 @@ func TestChaosMultiSeedSweep(t *testing.T) {
 }
 
 // TestChaosBatchedLegacyFaultEquivalence pins the fault-determinism
-// contract of the batched write path: queue-push faults fire per logical
-// key at buffer-append time with the same (worker, running-foreign-count)
-// sequence the legacy path uses, so under any deterministic plan the two
-// paths must agree — both fail, or both succeed with identical tables and
-// identical key accounting. Without this, every recorded chaos seed would
-// renumber when the default write path changed.
+// contract of the write path: queue-push faults fire per logical key at
+// buffer-append time, indexed by (worker, running foreign count), so under
+// any deterministic plan a write-batch-1 build (every key published alone)
+// and a default-batch build must agree — both fail, or both succeed with
+// identical tables and identical key accounting. Without this, every
+// recorded chaos seed would renumber when the batch size changed.
 func TestChaosBatchedLegacyFaultEquivalence(t *testing.T) {
 	d := uniformData(t, 20000, 8, 3, 11)
 	base := runtime.NumGoroutine()
@@ -253,19 +253,19 @@ func TestChaosBatchedLegacyFaultEquivalence(t *testing.T) {
 			outs[i].pt, outs[i].st, outs[i].err = BuildCtx(context.Background(), d, Options{P: 4, WriteBatch: wb})
 			restore()
 		}
-		legacy, batched := outs[0], outs[1]
-		if (legacy.err == nil) != (batched.err == nil) {
-			t.Fatalf("seed %d: legacy err %v, batched err %v — fault plans diverged", seed, legacy.err, batched.err)
+		single, batched := outs[0], outs[1]
+		if (single.err == nil) != (batched.err == nil) {
+			t.Fatalf("seed %d: wb=1 err %v, batched err %v — fault plans diverged", seed, single.err, batched.err)
 		}
-		if legacy.err == nil {
-			if !batched.pt.Equal(legacy.pt) {
-				t.Fatalf("seed %d: batched table differs from legacy under the same plan", seed)
+		if single.err == nil {
+			if !batched.pt.Equal(single.pt) {
+				t.Fatalf("seed %d: batched table differs from wb=1 under the same plan", seed)
 			}
-			assertStatsInvariant(t, legacy.st)
+			assertStatsInvariant(t, single.st)
 			assertStatsInvariant(t, batched.st)
-			if legacy.st.ForeignKeys != batched.st.ForeignKeys {
-				t.Fatalf("seed %d: foreign key mass %d (legacy) != %d (batched)",
-					seed, legacy.st.ForeignKeys, batched.st.ForeignKeys)
+			if single.st.ForeignKeys != batched.st.ForeignKeys {
+				t.Fatalf("seed %d: foreign key mass %d (wb=1) != %d (batched)",
+					seed, single.st.ForeignKeys, batched.st.ForeignKeys)
 			}
 		}
 		requireNoGoroutineLeak(t, base)

@@ -56,36 +56,8 @@ type frozenTable struct {
 	off   []int // partition p holds global entry ranks [off[p], off[p+1])
 	// epoch is the Builder snapshot ordinal this table was frozen at
 	// (monotonic per builder lineage; 0 for tables frozen via FreezeCtx
-	// directly). The epoch stamps MarginalCache entries and anchors the
-	// delta-aware all-pairs MI reuse.
+	// directly). The epoch stamps MarginalCache entries.
 	epoch uint64
-	// varMarg[v][s] is the per-variable marginal count of state s —
-	// maintained across incremental re-freezes by adding the delta summary,
-	// so each epoch knows its single-variable marginals without a scan.
-	// nil outside an incremental Builder lineage.
-	varMarg [][]uint64
-	// summary describes what changed relative to the previous epoch
-	// (nil on a full freeze or when the delta capture overflowed).
-	summary *ChangeSummary
-}
-
-// ChangeSummary records what one incremental re-freeze changed relative to
-// the epoch it was derived from: which partitions were touched and how much
-// marginal mass each variable gained. The delta-aware all-pairs MI and the
-// epoch-versioned cache invalidation consume it.
-type ChangeSummary struct {
-	FromEpoch uint64
-	ToEpoch   uint64
-	// DirtyParts[h] reports whether partition h was re-materialized (merged
-	// or drained) rather than aliased from the previous epoch.
-	DirtyParts []bool
-	// VarDelta[v][s] is how many observations of variable v in state s were
-	// added between the two epochs — exact, derived from the merged delta
-	// runs. nil when the delta log overflowed (the summary is then only
-	// structural: every pair must be treated as dirty).
-	VarDelta [][]uint64
-	// AddedMass is the total count mass added (sum over any VarDelta row).
-	AddedMass uint64
 }
 
 // numEntries returns the total entry count across all partitions.
@@ -168,10 +140,6 @@ type FreezeStats struct {
 	MergedRuns        int  // delta runs consumed by the merges
 	DrainedKeys       int  // keys that went through the drain+sort path
 	MergedKeys        int  // delta keys that went through the merge kernel
-	// DirtyPairs is the number of variable pairs whose MI could have moved
-	// given the change summary (every pair touching a variable with any
-	// marginal delta; all pairs when the summary is degraded or absent).
-	DirtyPairs int
 }
 
 // Frozen reports whether the table currently carries a frozen snapshot.
@@ -180,22 +148,13 @@ func (t *PotentialTable) Frozen() bool { return t.frozen.Load() != nil }
 // FreezeEpoch returns the snapshot's freeze-epoch stamp: the Builder
 // snapshot ordinal for tables produced by Builder.SnapshotCtx, 0 when the
 // table is not frozen or was frozen outside a builder lineage. The stamp is
-// what keys epoch-versioned consumers (MarginalCache entries, delta-aware
-// all-pairs MI) to exactly one epoch.
+// what keys epoch-versioned consumers (MarginalCache entries) to exactly one
+// epoch.
 func (t *PotentialTable) FreezeEpoch() uint64 {
 	if ft := t.frozen.Load(); ft != nil {
 		return ft.epoch
 	}
 	return 0
-}
-
-// changeSummary returns the snapshot's change summary relative to its
-// predecessor epoch, or nil.
-func (t *PotentialTable) changeSummary() *ChangeSummary {
-	if ft := t.frozen.Load(); ft != nil {
-		return ft.summary
-	}
-	return nil
 }
 
 // Freeze captures a frozen columnar snapshot of the table using p workers

@@ -167,7 +167,7 @@ func TestChaosHotSplitPanicEquivalence(t *testing.T) {
 // TestChaosHotSplitQueuePushFailContained covers the fault point splitting
 // deliberately changes: promoted keys skip the queue-push fault (fewer
 // events, never reordered), so the split build's fault sequence is a
-// subsequence of the legacy one and exact equivalence cannot be asserted.
+// subsequence of the non-split one and exact equivalence cannot be asserted.
 // What must hold instead: each injected failure surfaces as a clean
 // classified error with no leaked goroutine, and a build the plan misses is
 // still bit-identical with balanced accounting.

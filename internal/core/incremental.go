@@ -108,9 +108,7 @@ func (b *Builder) AddBlock(rows [][]uint8) error {
 // cancellation and worker panics surface as errors with all workers joined,
 // after which the builder is poisoned (see addKeys).
 func (b *Builder) AddBlockCtx(ctx context.Context, rows [][]uint8) error {
-	return b.addKeys(ctx, len(rows),
-		func(i int) uint64 { return b.codec.Encode(rows[i]) },
-		func(lo, hi int, dst []uint64) { b.codec.EncodeRows(rows[lo:hi], dst) })
+	return b.addKeys(ctx, len(rows), func(lo, hi int, dst []uint64) { b.codec.EncodeRows(rows[lo:hi], dst) })
 }
 
 // AddKeys counts a block of pre-encoded keys.
@@ -122,12 +120,10 @@ func (b *Builder) AddKeys(keys []uint64) error {
 
 // AddKeysCtx is AddKeys under the fault-tolerant execution contract.
 func (b *Builder) AddKeysCtx(ctx context.Context, keys []uint64) error {
-	return b.addKeys(ctx, len(keys),
-		func(i int) uint64 { return keys[i] },
-		func(lo, hi int, dst []uint64) { copy(dst, keys[lo:hi]) })
+	return b.addKeys(ctx, len(keys), func(lo, hi int, dst []uint64) { copy(dst, keys[lo:hi]) })
 }
 
-func (b *Builder) addKeys(ctx context.Context, m int, source KeySource, block blockSource) error {
+func (b *Builder) addKeys(ctx context.Context, m int, block blockSource) error {
 	if b.done {
 		return fmt.Errorf("core: Builder used after Finalize")
 	}
@@ -138,7 +134,6 @@ func (b *Builder) addKeys(ctx context.Context, m int, source KeySource, block bl
 	ws := make([]workerStats, p)
 	if err := runTwoStage(ctx, p, twoStage{
 		m:          m,
-		source:     source,
 		block:      block,
 		parts:      b.parts,
 		queues:     b.queues,

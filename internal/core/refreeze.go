@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"waitfreebn/internal/encoding"
 	"waitfreebn/internal/faultinject"
 	"waitfreebn/internal/hashtable"
 	"waitfreebn/internal/obs"
@@ -231,7 +230,6 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 	// in the workers) keeps the log mutation on the builder goroutine; seal
 	// may trip the overflow budget, demoting the partition to a drain.
 	paths := make([]uint8, len(b.parts))
-	dirty := make([]bool, len(b.parts))
 	for h := range b.parts {
 		dp := b.delta[h]
 		switch {
@@ -247,15 +245,6 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 		default:
 			paths[h] = pathDrain
 		}
-		dirty[h] = paths[h] != pathReuse
-	}
-	// The summary degrades (per-variable deltas unknown) whenever any
-	// partition lost its delta detail or there is no aligned predecessor.
-	degraded := !aligned || prev.varMarg == nil
-	for h := range paths {
-		if paths[h] == pathDrain {
-			degraded = true
-		}
 	}
 
 	// Expected layout is known before materialization: every path must
@@ -267,9 +256,7 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 	}
 	ft := &frozenTable{parts: make([]frozenPart, len(b.parts)), off: off, epoch: epoch}
 
-	nvars := b.codec.NumVars()
 	type refreezeWorker struct {
-		varDelta    [][]uint64 // per-variable per-state delta mass (nil when degraded)
 		mergedRuns  int
 		mergedKeys  int
 		drainedKeys int
@@ -278,12 +265,6 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 	assign := sched.CyclicAssign(len(b.parts), p)
 	err := sched.RunCtx(ctx, p, func(ctx context.Context, w int) error {
 		st := &ws[w]
-		if !degraded {
-			st.varDelta = make([][]uint64, nvars)
-			for v := range st.varDelta {
-				st.varDelta[v] = make([]uint64, b.codec.Cardinality(v))
-			}
-		}
 		done := ctx.Done()
 		for _, h := range assign[w] {
 			select {
@@ -301,7 +282,7 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 					return err
 				}
 				dp := b.delta[h]
-				merged := mergeFrozenRuns(prev.parts[h], dp.runs, epoch, st.varDelta, b.codec)
+				merged := mergeFrozenRuns(prev.parts[h], dp.runs, epoch)
 				if len(merged.keys) != off[h+1]-off[h] {
 					return fmt.Errorf("core: incremental re-freeze of partition %d merged to %d keys, live table has %d (delta capture hole)", h, len(merged.keys), off[h+1]-off[h])
 				}
@@ -349,49 +330,6 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 	out.SetObs(b.opts.Obs)
 	out.frozen.Store(ft)
 
-	// Per-variable marginals: carried forward exactly on the non-degraded
-	// path, recomputed by one fused scan of the fresh snapshot otherwise.
-	// (out has not escaped yet, so stamping ft here is race-free.)
-	prevEpoch := uint64(0)
-	if prev != nil {
-		prevEpoch = prev.epoch
-	}
-	if !degraded {
-		varDelta := make([][]uint64, nvars)
-		varMarg := make([][]uint64, nvars)
-		var added uint64
-		for v := 0; v < nvars; v++ {
-			card := b.codec.Cardinality(v)
-			varDelta[v] = make([]uint64, card)
-			varMarg[v] = make([]uint64, card)
-			for _, w := range ws {
-				for s, d := range w.varDelta[v] {
-					varDelta[v][s] += d
-				}
-			}
-			for s := 0; s < card; s++ {
-				varMarg[v][s] = prev.varMarg[v][s] + varDelta[v][s]
-				if v == 0 {
-					added += varDelta[v][s]
-				}
-			}
-		}
-		ft.varMarg = varMarg
-		ft.summary = &ChangeSummary{
-			FromEpoch: prevEpoch, ToEpoch: epoch,
-			DirtyParts: dirty, VarDelta: varDelta, AddedMass: added,
-		}
-		stats.DirtyPairs = dirtyPairCount(varMarg, varDelta, nvars)
-	} else {
-		varMarg, err := singletonMarginals(ctx, out, p)
-		if err != nil {
-			return nil, FreezeStats{}, err
-		}
-		ft.varMarg = varMarg
-		ft.summary = &ChangeSummary{FromEpoch: prevEpoch, ToEpoch: epoch, DirtyParts: dirty}
-		stats.DirtyPairs = nvars * (nvars - 1) / 2
-	}
-
 	// Success: advance the lineage and re-arm the logs. Budgets scale with
 	// the partition's frozen size — merging more delta keys than ~2x the
 	// block is no cheaper than draining it.
@@ -408,10 +346,8 @@ func (b *Builder) snapshotIncrementalCtx(ctx context.Context, p int) (*Potential
 
 // mergeFrozenRuns produces a dirty partition's new block by a k-way sorted
 // merge of the previous epoch's block with the sealed delta runs: equal keys
-// sum, keys absent from the prior block are inserted. The per-key summed
-// delta feeds the worker's per-variable marginal accumulator (nil when the
-// summary is degraded).
-func mergeFrozenRuns(prev frozenPart, runs []deltaRun, epoch uint64, varDelta [][]uint64, codec *encoding.Codec) frozenPart {
+// sum, keys absent from the prior block are inserted.
+func mergeFrozenRuns(prev frozenPart, runs []deltaRun, epoch uint64) frozenPart {
 	srcs := make([]deltaRun, 0, len(runs)+1)
 	srcs = append(srcs, deltaRun{keys: prev.keys, deltas: prev.counts})
 	srcs = append(srcs, runs...)
@@ -422,14 +358,6 @@ func mergeFrozenRuns(prev frozenPart, runs []deltaRun, epoch uint64, varDelta []
 	outKeys := make([]uint64, 0, upper)
 	outCounts := make([]uint64, 0, upper)
 	heads := make([]int, len(srcs))
-
-	var decs []encoding.VarDecoder
-	if varDelta != nil {
-		decs = make([]encoding.VarDecoder, len(varDelta))
-		for v := range decs {
-			decs[v] = codec.VarDecoder(v)
-		}
-	}
 	for {
 		// Linear min-scan over the run heads: the fan-in is small (prior
 		// block + a handful of sealed runs), so a heap would cost more in
@@ -447,61 +375,17 @@ func mergeFrozenRuns(prev frozenPart, runs []deltaRun, epoch uint64, varDelta []
 		if best < 0 {
 			break
 		}
-		var count, delta uint64
+		var count uint64
 		for i := range srcs {
 			if heads[i] < len(srcs[i].keys) && srcs[i].keys[heads[i]] == bestKey {
-				d := srcs[i].deltas[heads[i]]
-				count += d
-				if i > 0 {
-					delta += d
-				}
+				count += srcs[i].deltas[heads[i]]
 				heads[i]++
 			}
 		}
 		outKeys = append(outKeys, bestKey)
 		outCounts = append(outCounts, count)
-		if delta > 0 && varDelta != nil {
-			for v := range decs {
-				varDelta[v][decs[v].Decode(bestKey)] += delta
-			}
-		}
 	}
 	return frozenPart{keys: outKeys, counts: outCounts, born: epoch}
-}
-
-// singletonMarginals computes every variable's marginal counts with one
-// fused scan of the table — the degraded-path recompute and the seed for
-// the first epoch's varMarg.
-func singletonMarginals(ctx context.Context, t *PotentialTable, p int) ([][]uint64, error) {
-	n := t.codec.NumVars()
-	varsets := make([][]int, n)
-	for v := 0; v < n; v++ {
-		varsets[v] = []int{v}
-	}
-	mgs, err := t.MarginalizeManyCtx(ctx, varsets, p)
-	if err != nil {
-		return nil, err
-	}
-	varMarg := make([][]uint64, n)
-	for v, mg := range mgs {
-		varMarg[v] = mg.Counts
-	}
-	return varMarg, nil
-}
-
-// dirtyPairCount counts variable pairs that touch at least one variable
-// whose marginal distribution changed: C(n,2) − C(n−d,2) for d changed
-// variables (every added observation touches every variable's marginal
-// count, so the informative signal is distribution movement, not mass).
-func dirtyPairCount(varMarg, varDelta [][]uint64, n int) int {
-	d := 0
-	for v := 0; v < n; v++ {
-		if marginalMoved(varMarg[v], varDelta[v], 0) {
-			d++
-		}
-	}
-	clean := n - d
-	return n*(n-1)/2 - clean*(clean-1)/2
 }
 
 // publishRefreezeMetrics records one incremental re-freeze into the

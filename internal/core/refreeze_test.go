@@ -183,30 +183,6 @@ func TestIncrementalSnapshotReusesCleanBlocks(t *testing.T) {
 	if sharedBlocks != st2.ReusedPartitions {
 		t.Fatalf("found %d aliased blocks, stats say %d reused", sharedBlocks, st2.ReusedPartitions)
 	}
-
-	if sum := t2.changeSummary(); sum == nil {
-		t.Fatal("merge-path snapshot carries no change summary")
-	} else {
-		if sum.FromEpoch != 1 || sum.ToEpoch != 2 {
-			t.Fatalf("summary epochs %d→%d", sum.FromEpoch, sum.ToEpoch)
-		}
-		if sum.VarDelta == nil {
-			t.Fatal("summary degraded on a pure merge path")
-		}
-		if sum.AddedMass != 2000 {
-			t.Fatalf("AddedMass = %d, want 2000", sum.AddedMass)
-		}
-		// Every added observation touches every variable's marginal.
-		for v, row := range sum.VarDelta {
-			var mass uint64
-			for _, d := range row {
-				mass += d
-			}
-			if mass != 2000 {
-				t.Fatalf("VarDelta[%d] mass = %d, want 2000", v, mass)
-			}
-		}
-	}
 }
 
 // TestIncrementalSnapshotOverflowFallsBack drives one partition's delta log
@@ -255,9 +231,6 @@ func TestIncrementalSnapshotOverflowFallsBack(t *testing.T) {
 	assertTablesBitIdentical(t, got, want, "overflow epoch")
 	if st.DrainedPartitions == 0 {
 		t.Fatalf("flood delta produced no drains: %+v", st)
-	}
-	if sum := got.changeSummary(); sum != nil && sum.VarDelta != nil {
-		t.Fatal("overflowed epoch still claims an exact VarDelta")
 	}
 	// The lineage recovers: a subsequent small delta merges again.
 	if err := inc.AddKeysCtx(ctx, localizedKeys(500, space, 0.05, 1, 13)); err != nil {
@@ -531,112 +504,6 @@ func TestMarginalCacheEpochInvalidation(t *testing.T) {
 		if m2[i].M == m1[i].M {
 			t.Fatalf("varset %d: epoch-2 marginal has epoch-1 sample count", i)
 		}
-	}
-}
-
-// TestAllPairsMIDeltaMatchesFull asserts the delta-aware all-pairs MI (a)
-// falls back to full when no usable summary exists, (b) recomputes dirty
-// pairs to values identical to a full run at threshold 0, and (c) reuses
-// clean pairs under a loose threshold with correct accounting.
-func TestAllPairsMIDeltaMatchesFull(t *testing.T) {
-	codec, err := encoding.NewUniformCodec(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := codec.KeySpace()
-	b := NewBuilder(codec, 0, Options{
-		P: 2, NumPartitions: 8, Partition: PartitionRange, Refreeze: FreezeIncremental,
-	})
-	ctx := context.Background()
-	if err := b.AddKeysCtx(ctx, refreezeKeys(25000, space, 51)); err != nil {
-		t.Fatal(err)
-	}
-	pt1, _, err := b.SnapshotCtx(ctx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (a) no prior matrix: full fallback.
-	mi1, st1, err := pt1.AllPairsMIDeltaCtx(ctx, 2, MIPairDynamic, nil, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st1.Full {
-		t.Fatalf("first epoch not a full fallback: %+v", st1)
-	}
-	ref1, err := pt1.AllPairsMICtx(ctx, 2, MIPairDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref1.ForEachPair(func(i, j int, v float64) {
-		if mi1.At(i, j) != v {
-			t.Fatalf("fallback MI(%d,%d) differs", i, j)
-		}
-	})
-
-	if err := b.AddKeysCtx(ctx, localizedKeys(1200, space, 0.05, 0, 52)); err != nil {
-		t.Fatal(err)
-	}
-	pt2, _, err := b.SnapshotCtx(ctx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (b) threshold 0: every pair whose marginals changed at all recomputes;
-	// recomputed values are bit-identical to a full run.
-	mi2, st2, err := pt2.AllPairsMIDeltaCtx(ctx, 2, MIPairDynamic, mi1, pt1.FreezeEpoch(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Full {
-		t.Fatalf("second epoch fell back to full: %+v", st2)
-	}
-	if st2.FromEpoch != pt1.FreezeEpoch() || st2.ToEpoch != pt2.FreezeEpoch() {
-		t.Fatalf("delta epochs %d→%d, want %d→%d", st2.FromEpoch, st2.ToEpoch, pt1.FreezeEpoch(), pt2.FreezeEpoch())
-	}
-	ref2, err := pt2.AllPairsMICtx(ctx, 2, MIPairDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generic random deltas move every variable's distribution, so at
-	// threshold 0 every pair is dirty and the delta run must equal the full
-	// run exactly.
-	if st2.DirtyPairs+st2.ReusedPairs != ref2.NumPairs() {
-		t.Fatalf("pair accounting: %d dirty + %d reused != %d", st2.DirtyPairs, st2.ReusedPairs, ref2.NumPairs())
-	}
-	if st2.ReusedPairs != 0 {
-		t.Fatalf("threshold 0 reused %d pairs under a distribution-moving delta", st2.ReusedPairs)
-	}
-	ref2.ForEachPair(func(i, j int, v float64) {
-		if got := mi2.At(i, j); got != v {
-			t.Fatalf("threshold-0 MI(%d,%d) = %v, full = %v", i, j, got, v)
-		}
-	})
-
-	// (c) loose threshold: small relative deltas leave pairs clean, whose
-	// values come verbatim from the prior matrix.
-	mi3, st3, err := pt2.AllPairsMIDeltaCtx(ctx, 2, MIPairDynamic, mi1, pt1.FreezeEpoch(), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.ReusedPairs == 0 {
-		t.Fatalf("loose threshold reused nothing: %+v", st3)
-	}
-	reused := 0
-	mi1.ForEachPair(func(i, j int, v float64) {
-		if mi3.At(i, j) == v {
-			reused++
-		}
-	})
-	if reused < st3.ReusedPairs {
-		t.Fatalf("only %d pairs match the prior matrix, stats claim %d reused", reused, st3.ReusedPairs)
-	}
-
-	// (d) mismatched epoch anchor: full fallback, never silent reuse.
-	_, st4, err := pt2.AllPairsMIDeltaCtx(ctx, 2, MIPairDynamic, mi1, pt1.FreezeEpoch()+7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st4.Full {
-		t.Fatalf("mismatched epoch did not fall back: %+v", st4)
 	}
 }
 

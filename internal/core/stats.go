@@ -18,7 +18,7 @@ func (s Stats) String() string {
 		spilled = fmt.Sprintf(" spilled=%d", s.SpilledKeys)
 	}
 	batched := ""
-	if s.WriteBatch > 1 {
+	if s.WriteBatch > 0 {
 		batched = fmt.Sprintf(" wb=%d flushes=%d dupes=%d", s.WriteBatch, s.BatchFlushes, s.ForeignDupes)
 	}
 	split := ""

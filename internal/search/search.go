@@ -82,23 +82,17 @@ const (
 	moveReverse
 )
 
-// HillClimb runs greedy hill climbing from the empty graph: at each step
-// it evaluates every legal add/delete/reverse move, applies the one with
-// the largest positive BIC improvement, and stops when no move improves
-// the score (or MaxIters is reached).
-//
-// Deprecated: use HillClimbCtx.
-func HillClimb(pt *core.PotentialTable, cfg Config) (*Result, error) {
-	return HillClimbCtx(context.Background(), pt, cfg)
-}
-
 // scanAbort carries a marginalization error out of the score evaluation
 // loops (which return bare float64s) up to the HillClimbCtx entry point,
 // where it is recovered and returned as an ordinary error.
 type scanAbort struct{ err error }
 
-// HillClimbCtx is HillClimb under the fault-tolerant execution contract:
-// every sufficient-statistic marginalization observes ctx, so cancellation
+// HillClimbCtx runs greedy hill climbing from the empty graph: at each
+// step it evaluates every legal add/delete/reverse move, applies the one
+// with the largest positive BIC improvement, and stops when no move
+// improves the score (or MaxIters is reached).
+//
+// Every sufficient-statistic marginalization observes ctx, so cancellation
 // surfaces as context.Canceled (or DeadlineExceeded) in bounded time
 // instead of the climb running to completion.
 func HillClimbCtx(ctx context.Context, pt *core.PotentialTable, cfg Config) (out *Result, err error) {

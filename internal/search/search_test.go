@@ -2,6 +2,8 @@ package search
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"waitfreebn/internal/bn"
@@ -28,7 +30,7 @@ func tableFrom(t *testing.T, net *bn.Network, m int, seed uint64) *core.Potentia
 func TestHillClimbRecoversChainSkeleton(t *testing.T) {
 	net := bn.Chain(6, 2, 0.85)
 	pt := tableFrom(t, net, 60000, 1)
-	res, err := HillClimb(pt, Config{P: 4})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestHillClimbRecoversChainSkeleton(t *testing.T) {
 func TestHillClimbRecoversNaiveBayes(t *testing.T) {
 	net := bn.NaiveBayes(6, 2, 0.85)
 	pt := tableFrom(t, net, 60000, 2)
-	res, err := HillClimb(pt, Config{P: 4})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestHillClimbIndependentDataEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HillClimb(pt, Config{P: 4})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestHillClimbIndependentDataEmptyGraph(t *testing.T) {
 func TestHillClimbScoreBeatsEmptyGraph(t *testing.T) {
 	net := bn.Asia()
 	pt := tableFrom(t, net, 100000, 4)
-	res, err := HillClimb(pt, Config{P: 4})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestHillClimbScoreBeatsEmptyGraph(t *testing.T) {
 func TestHillClimbRespectsMaxParents(t *testing.T) {
 	net := bn.NaiveBayes(8, 2, 0.9)
 	pt := tableFrom(t, net, 60000, 5)
-	res, err := HillClimb(pt, Config{P: 4, MaxParents: 1})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4, MaxParents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestHillClimbRespectsMaxParents(t *testing.T) {
 func TestHillClimbMaxItersBounds(t *testing.T) {
 	net := bn.Chain(8, 2, 0.9)
 	pt := tableFrom(t, net, 40000, 6)
-	res, err := HillClimb(pt, Config{P: 4, MaxIters: 2})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4, MaxIters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestHillClimbErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HillClimb(pt, Config{}); err == nil {
+	if _, err := HillClimbCtx(context.Background(), pt, Config{}); err == nil {
 		t.Error("single-variable table accepted")
 	}
 	d2 := dataset.NewUniformCard(0, 3, 2)
@@ -138,15 +140,65 @@ func TestHillClimbErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HillClimb(pt2, Config{}); err == nil {
+	if _, err := HillClimbCtx(context.Background(), pt2, Config{}); err == nil {
 		t.Error("empty table accepted")
+	}
+}
+
+// countdownCtx cancels itself on the nth call to Done, so a test can stop
+// a search after a chosen amount of progress; n <= 0 never cancels, which
+// makes it a probe that only counts calls.
+type countdownCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	calls  atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &countdownCtx{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *countdownCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestHillClimbCtxCancelMidSearch cancels a climb halfway through the
+// context checks an uncancelled climb makes, and asserts the search stops
+// with context.Canceled and no result instead of running to completion.
+func TestHillClimbCtxCancelMidSearch(t *testing.T) {
+	pt := tableFrom(t, bn.Chain(6, 2, 0.85), 20000, 3)
+	cfg := Config{P: 2, Restarts: 2}
+	probe := newCountdownCtx(0)
+	if _, err := HillClimbCtx(probe, pt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	total := probe.calls.Load()
+	if total < 2 {
+		t.Fatalf("uncancelled climb checked its context %d times; nothing to cancel mid-search", total)
+	}
+	ctx := newCountdownCtx(total / 2)
+	defer ctx.cancel()
+	res, err := HillClimbCtx(ctx, pt, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("cancelled climb returned a result: %+v", res)
+	}
+	if got := ctx.calls.Load(); got >= total {
+		t.Fatalf("cancelled climb made %d context checks, as many as a full climb (%d)", got, total)
 	}
 }
 
 func TestHillClimbCacheWorks(t *testing.T) {
 	net := bn.Chain(5, 2, 0.85)
 	pt := tableFrom(t, net, 30000, 7)
-	res, err := HillClimb(pt, Config{P: 2})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +222,7 @@ func TestHillClimbAgreesWithConstraintLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := HillClimb(pt, Config{P: 4})
+	hc, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +263,11 @@ func TestHillClimbRestartsFixChainArtifact(t *testing.T) {
 	// chain, whose BIC is strictly better.
 	net := bn.Chain(6, 2, 0.85)
 	pt := tableFrom(t, net, 60000, 1)
-	base, err := HillClimb(pt, Config{P: 4})
+	base, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted, err := HillClimb(pt, Config{P: 4, Restarts: 20, Seed: 3})
+	restarted, err := HillClimbCtx(context.Background(), pt, Config{P: 4, Restarts: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +291,11 @@ func base1F(t *testing.T, r *Result, net *bn.Network) float64 {
 func TestHillClimbRestartsDeterministic(t *testing.T) {
 	net := bn.Chain(5, 2, 0.8)
 	pt := tableFrom(t, net, 20000, 2)
-	a, err := HillClimb(pt, Config{P: 2, Restarts: 5, Seed: 9})
+	a, err := HillClimbCtx(context.Background(), pt, Config{P: 2, Restarts: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HillClimb(pt, Config{P: 2, Restarts: 5, Seed: 9})
+	b, err := HillClimbCtx(context.Background(), pt, Config{P: 2, Restarts: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +329,11 @@ func TestSparseCandidatesRecoverChain(t *testing.T) {
 	// shrinks measurably.
 	net := bn.Chain(6, 2, 0.85)
 	pt := tableFrom(t, net, 60000, 12)
-	full, err := HillClimb(pt, Config{P: 4})
+	full, err := HillClimbCtx(context.Background(), pt, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := HillClimb(pt, Config{P: 4, CandidateParents: 2})
+	sparse, err := HillClimbCtx(context.Background(), pt, Config{P: 4, CandidateParents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +349,7 @@ func TestSparseCandidatesRecoverChain(t *testing.T) {
 func TestSparseCandidatesRespectRestriction(t *testing.T) {
 	net := bn.NaiveBayes(8, 2, 0.85)
 	pt := tableFrom(t, net, 50000, 13)
-	res, err := HillClimb(pt, Config{P: 4, CandidateParents: 1})
+	res, err := HillClimbCtx(context.Background(), pt, Config{P: 4, CandidateParents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,19 +69,22 @@ func TestAllocFreeEpochEncoder(t *testing.T) {
 	}
 }
 
+// jsonFloatCases are the TestJSONFloatParity cases; FuzzAppendJSONFloat
+// seeds its corpus from them.
+var jsonFloatCases = []float64{
+	0, 1, -1, 0.5, -0.5, 1.0 / 3.0, 0.1 + 0.2, 2.0 / 6.0,
+	1e-6, 9.999999e-7, 1e-7, -1e-7, 5e-324, -5e-324,
+	1e20, 9.99e20, 1e21, -1e21, 1.5e22, 1e300, -1e300,
+	math.MaxFloat64, math.SmallestNonzeroFloat64,
+	123456789.123456, 0.0001, 6.0, 0.16666666666666666,
+}
+
 // TestJSONFloatParity locks the hand-rolled float encoder to
 // encoding/json's exact output across the representable regimes: plain
 // decimals, shortest-form fractions, the %e thresholds in both directions,
 // exponent contraction, subnormals, and extremes.
 func TestJSONFloatParity(t *testing.T) {
-	cases := []float64{
-		0, 1, -1, 0.5, -0.5, 1.0 / 3.0, 0.1 + 0.2, 2.0 / 6.0,
-		1e-6, 9.999999e-7, 1e-7, -1e-7, 5e-324, -5e-324,
-		1e20, 9.99e20, 1e21, -1e21, 1.5e22, 1e300, -1e300,
-		math.MaxFloat64, math.SmallestNonzeroFloat64,
-		123456789.123456, 0.0001, 6.0, 0.16666666666666666,
-	}
-	for _, f := range cases {
+	for _, f := range jsonFloatCases {
 		want, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)

@@ -183,18 +183,18 @@ type Manager struct {
 	// Durability bookkeeping, all under mu. builtSeq is the last WAL record
 	// folded into the builder; pubSeq the last folded into the published
 	// table; ckptEpoch the epoch of the newest committed checkpoint.
-	lastTable *core.PotentialTable // the published frozen table (rollback seed)
-	builtSeq  uint64
-	pubSeq    uint64
-	ckptEpoch uint64
-	hasCkpt   bool
-	sinceCkpt int
-	dirty      bool              // builder holds rows not yet in the published table
+	lastTable  *core.PotentialTable // the published frozen table (rollback seed)
+	builtSeq   uint64
+	pubSeq     uint64
+	ckptEpoch  uint64
+	hasCkpt    bool
+	sinceCkpt  int
+	dirty      bool             // builder holds rows not yet in the published table
 	lastFreeze core.FreezeStats // stats of the freeze behind the published table
 	nextEpoch  uint64           // epoch number the next publish uses
-	sinceReb  int    // publishes since the last rebalance check
-	freezeSeq uint64 // freeze-fail fault-point occurrence counter
-	replaySeq uint64 // recover-replay fault-point occurrence counter
+	sinceReb   int              // publishes since the last rebalance check
+	freezeSeq  uint64           // freeze-fail fault-point occurrence counter
+	replaySeq  uint64           // recover-replay fault-point occurrence counter
 
 	cur    atomic.Pointer[core.Snapshot]
 	wake   chan struct{}

@@ -9,7 +9,7 @@ import (
 	"waitfreebn/internal/graph"
 )
 
-// ChowLiu learns the maximum-likelihood tree-structured network (Chow &
+// ChowLiuCtx learns the maximum-likelihood tree-structured network (Chow &
 // Liu, IEEE Trans. Inf. Theory 1968 — reference [6] of the paper): the
 // maximum-weight spanning tree of the complete graph weighted by pairwise
 // mutual information. It consumes the same all-pairs MI sweep the drafting
@@ -18,16 +18,8 @@ import (
 //
 // Edges with MI below minMI are not considered, so disconnected data
 // yields a forest rather than a tree of noise edges. p <= 0 selects
-// GOMAXPROCS.
-//
-// Deprecated: use ChowLiuCtx.
-func ChowLiu(pt *core.PotentialTable, minMI float64, p int) (*graph.Undirected, *core.MIMatrix, error) {
-	return ChowLiuCtx(context.Background(), pt, minMI, p)
-}
-
-// ChowLiuCtx is ChowLiu under the fault-tolerant execution contract: the
-// all-pairs MI sweep observes ctx and cancellation surfaces as
-// context.Canceled (or DeadlineExceeded) in bounded time.
+// GOMAXPROCS. The all-pairs MI sweep observes ctx, and cancellation
+// surfaces as context.Canceled (or DeadlineExceeded) in bounded time.
 func ChowLiuCtx(ctx context.Context, pt *core.PotentialTable, minMI float64, p int) (*graph.Undirected, *core.MIMatrix, error) {
 	n := pt.Codec().NumVars()
 	if n < 1 {
@@ -94,7 +86,7 @@ func ChowLiuDAG(pt *core.PotentialTable, minMI float64, root, p int) (*graph.DAG
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("structure: root %d outside [0,%d)", root, n)
 	}
-	tree, _, err := ChowLiu(pt, minMI, p)
+	tree, _, err := ChowLiuCtx(context.Background(), pt, minMI, p)
 	if err != nil {
 		return nil, err
 	}

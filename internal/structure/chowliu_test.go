@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"context"
 	"testing"
 
 	"waitfreebn/internal/bn"
@@ -25,7 +26,7 @@ func TestChowLiuRecoversChain(t *testing.T) {
 	// A chain IS a tree: Chow-Liu must recover it exactly.
 	net := bn.Chain(7, 2, 0.85)
 	pt := clTable(t, net, 60000, 51)
-	tree, mi, err := ChowLiu(pt, 0.001, 4)
+	tree, mi, err := ChowLiuCtx(context.Background(), pt, 0.001, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestChowLiuRecoversChain(t *testing.T) {
 func TestChowLiuRecoversStar(t *testing.T) {
 	net := bn.NaiveBayes(8, 2, 0.85)
 	pt := clTable(t, net, 60000, 52)
-	tree, _, err := ChowLiu(pt, 0.001, 4)
+	tree, _, err := ChowLiuCtx(context.Background(), pt, 0.001, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestChowLiuIsSpanningTree(t *testing.T) {
 	// edges and connected where MI supports it.
 	net := bn.Asia()
 	pt := clTable(t, net, 100000, 53)
-	tree, _, err := ChowLiu(pt, 0.0001, 4)
+	tree, _, err := ChowLiuCtx(context.Background(), pt, 0.0001, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestChowLiuIndependentDataYieldsForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, _, err := ChowLiu(pt, 0.001, 4)
+	tree, _, err := ChowLiuCtx(context.Background(), pt, 0.001, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,18 +102,6 @@ type Config struct {
 	// bit-identical either way. Off by default at the API level; the CLIs
 	// enable it for learning (-freeze).
 	Freeze bool
-	// PrevMI, when non-nil, enables delta-aware drafting: the all-pairs MI
-	// sweep recomputes only pairs whose variables' marginal distributions
-	// moved (beyond MIDeltaThreshold) since the epoch PrevMIEpoch, reusing
-	// the rest from PrevMI. Requires a table produced by an incremental
-	// builder snapshot whose change summary is anchored at PrevMIEpoch;
-	// anything else falls back to the full sweep (Result.MIDelta.Full).
-	PrevMI      *core.MIMatrix
-	PrevMIEpoch uint64
-	// MIDeltaThreshold is the total-variation distance below which a moved
-	// marginal still counts as clean for PrevMI reuse. 0 = exact (any
-	// distribution change recomputes the pair).
-	MIDeltaThreshold float64
 	// BuildOptions configures the wait-free table construction.
 	BuildOptions core.Options
 }
@@ -180,11 +168,6 @@ type Result struct {
 	BuildStats core.Stats       // wait-free construction counters
 	Cache      core.CacheStats  // marginal-cache counters (zero when disabled)
 	Freeze     core.FreezeStats // columnar-snapshot stats (zero when Config.Freeze is off)
-	// MIDelta reports what the delta-aware draft reused versus recomputed
-	// (zero when Config.PrevMI is nil); MIEpoch is the freeze epoch the
-	// returned MI matrix describes, for threading into the next learn.
-	MIDelta core.MIDeltaStats
-	MIEpoch uint64
 }
 
 // Learn runs the full three-phase algorithm on a dataset: the potential
@@ -256,23 +239,11 @@ func LearnFromTableCtx(ctx context.Context, pt *core.PotentialTable, cfg Config)
 	}
 
 	t0 := time.Now()
-	var mi *core.MIMatrix
-	var err error
-	if cfg.PrevMI != nil {
-		var dst core.MIDeltaStats
-		mi, dst, err = pt.AllPairsMIDeltaCtx(ctx, cfg.P, cfg.Schedule, cfg.PrevMI, cfg.PrevMIEpoch, cfg.MIDeltaThreshold)
-		if err != nil {
-			return nil, err
-		}
-		res.MIDelta = dst
-	} else {
-		mi, err = pt.AllPairsMICtx(ctx, cfg.P, cfg.Schedule)
-		if err != nil {
-			return nil, err
-		}
+	mi, err := pt.AllPairsMICtx(ctx, cfg.P, cfg.Schedule)
+	if err != nil {
+		return nil, err
 	}
 	res.MI = mi
-	res.MIEpoch = pt.FreezeEpoch()
 	g, deferred := l.draft(mi)
 	res.Graph = g
 	res.DraftTime = time.Since(t0)

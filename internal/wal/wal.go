@@ -548,7 +548,7 @@ func scanSegment(path string, firstSeq, after uint64, fn func(seq uint64, keys [
 				return validEndOr(off, lastSeq, path, derr.Error(), true)
 			}
 		}
-		off += int64(4 + hdrLen) + int64(plen)
+		off += int64(4+hdrLen) + int64(plen)
 		lastSeq = seq
 		want = seq + 1
 	}
