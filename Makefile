@@ -3,7 +3,7 @@ GO ?= go
 # Extra seeds for the chaos sweep, e.g. `make chaos CHAOS_SEEDS=11,12,13`.
 CHAOS_SEEDS ?=
 
-.PHONY: all build vet test race check chaos chaos-serve serve-smoke alloc-check compare-smoke bench-obs bench-phases bench-scan bench-build bench-serve bench-recover bench-skew bench-refreeze bench-artifacts bench-compare clean
+.PHONY: all build vet test race check chaos chaos-serve serve-smoke alloc-check compare-smoke fuzz-smoke bench-obs bench-phases bench-scan bench-build bench-serve bench-recover bench-skew bench-refreeze bench-artifacts bench-compare clean
 
 all: check
 
@@ -25,14 +25,14 @@ test:
 	GOMAXPROCS=2 $(GO) test -count 1 ./...
 
 # Race-check the concurrency core: the wait-free construction, the SPSC
-# queues it routes foreign keys through, and the phase-2/3 wavefront
-# scheduler (including the serial-vs-parallel bit-identity tests and the
-# CI-search differential against the scan-per-varset reference). Serial
-# and at two procs, like test.
+# queues it routes foreign keys through, the chunk-parallel CSV parser, and
+# the phase-2/3 wavefront scheduler (including the serial-vs-parallel
+# bit-identity tests and the CI-search differential against the
+# scan-per-varset reference). Serial and at two procs, like test.
 race:
-	GOMAXPROCS=1 $(GO) test -race -count 1 ./internal/core/... ./internal/spsc/... ./internal/serve/...
+	GOMAXPROCS=1 $(GO) test -race -count 1 ./internal/core/... ./internal/spsc/... ./internal/serve/... ./internal/dataset/
 	GOMAXPROCS=1 $(GO) test -race -count 1 -run 'Wavefront|FlattenedLayout|CISearchMatchesScanReference' ./internal/structure/
-	GOMAXPROCS=2 $(GO) test -race -count 1 ./internal/core/... ./internal/spsc/... ./internal/serve/...
+	GOMAXPROCS=2 $(GO) test -race -count 1 ./internal/core/... ./internal/spsc/... ./internal/serve/... ./internal/dataset/
 	GOMAXPROCS=2 $(GO) test -race -count 1 -run 'Wavefront|FlattenedLayout|CISearchMatchesScanReference' ./internal/structure/
 
 # chaos runs the fault-tolerance suite under the race detector: the
@@ -74,6 +74,16 @@ alloc-check:
 # regressions at any gate.
 compare-smoke:
 	$(GO) run ./cmd/bnbench -compare BENCH_serve.json -with BENCH_serve.json -gate 1 > /dev/null
+
+# fuzz-smoke fuzzes the untrusted CSV boundary for a few seconds per
+# target: the batch reader, its differential against the reference line
+# parser (blocks of 1-512 bytes, one and two workers), and the streaming
+# reader against the batch one. Go fuzzes one target per invocation.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 
 # check is the gate every change must pass (see README "Development").
 check: vet build test race chaos chaos-serve serve-smoke alloc-check compare-smoke

@@ -347,6 +347,14 @@ func runInstrumentedBuild(ctx context.Context, coreFl *cliopt.Core, obsFl *cliop
 	if err != nil {
 		fatal(err)
 	}
+	// One untimed build of the first configuration, without metrics, so
+	// that the first timed row, the speedup denominator, does not also pay
+	// for a cold heap and cold caches.
+	warm := baseOpts
+	warm.P, warm.WriteBatch = ps[0], wbs[0]
+	if _, _, err := core.BuildCtx(ctx, data, warm); err != nil {
+		fatal(err)
+	}
 	var baseSec float64 // first configuration's time, the speedup denominator
 	for _, p := range ps {
 		for _, wb := range wbs {

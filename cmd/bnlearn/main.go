@@ -80,17 +80,20 @@ func main() {
 		defer f.Close()
 		src = f
 	}
+	parseStart := time.Now()
 	data, names, err := dataset.ReadCSVNamed(src, nil)
 	if err != nil {
 		fatal(err)
 	}
+	parseTime := time.Since(parseStart)
 	label := func(v int) string {
 		if v < len(names) && names[v] != "" {
 			return names[v]
 		}
 		return fmt.Sprintf("x%d", v)
 	}
-	fmt.Printf("dataset: m=%d samples, n=%d variables\n", data.NumSamples(), data.NumVars())
+	fmt.Printf("dataset: m=%d samples, n=%d variables, dataset.parse %v\n",
+		data.NumSamples(), data.NumVars(), parseTime.Round(time.Microsecond))
 
 	if *algo == "hillclimb" {
 		runHillClimb(ctx, data, buildOpts, *emit)

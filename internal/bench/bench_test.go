@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"waitfreebn/internal/baseline"
 	"waitfreebn/internal/core"
+	"waitfreebn/internal/dataset"
 )
 
 func smallParams() Params {
@@ -277,11 +279,19 @@ func TestStagesTableSmallRun(t *testing.T) {
 			}
 		}
 	}
-	// Stage 1 must dominate stage 2 at P>=2 (stage 2 at P=1 is empty).
-	s1, _ := tab.Series[0].at(2)
-	s2, _ := tab.Series[1].at(2)
-	if s1.Seconds <= s2.Seconds {
-		t.Errorf("stage1 (%v) not dominant over stage2 (%v)", s1.Seconds, s2.Seconds)
+	// Stage 2 drains only what stage 1 routed: at P=2 the drained mass
+	// equals the foreign keys, which are some of the m rows and not all.
+	// (That stage 1 also takes longer is a paper-scale claim, checked by
+	// the bench-* runs; two ~100 µs stages on a shared host do not order
+	// reliably.)
+	data := dataset.NewUniformCard(5000, 10, 2)
+	data.UniformIndependent(smallParams().Seed, 2)
+	_, st, err := core.BuildCtx(context.Background(), data, core.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stage2Pops != st.ForeignKeys || st.LocalKeys+st.ForeignKeys != 5000 || st.ForeignKeys == 0 || st.LocalKeys == 0 {
+		t.Errorf("P=2 build of 5000 rows: local=%d foreign=%d stage-2 pops=%d", st.LocalKeys, st.ForeignKeys, st.Stage2Pops)
 	}
 }
 

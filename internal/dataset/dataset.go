@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"waitfreebn/internal/encoding"
 	"waitfreebn/internal/rng"
@@ -308,6 +307,25 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // header row). Cardinalities are inferred as 1 + max observed state per
 // column unless card is non-nil, in which case states are validated
 // against it.
+//
+// The grammar:
+//   - Lines end in "\n"; a "\r" before it is white space, and the last
+//     line may lack its newline. Lines are numbered from 1 in error texts,
+//     blank ones included.
+//   - The first line is the header: its comma-separated fields, each
+//     trimmed, are the column names, and their count is n. A header that
+//     trims to nothing is an error.
+//   - Every later line is trimmed of white space (Unicode white space
+//     included); a line left empty is skipped. Any other line must have n
+//     comma-separated fields. Each field, trimmed, is a decimal integer as
+//     strconv.Atoi reads it: a sign and leading zeros are allowed, so "+01"
+//     is state 1. States must lie in [0,255] and below card, if given.
+//   - A line of 1 MiB or more before its newline fails with
+//     bufio.ErrTooLong.
+//
+// The first error in line order is returned. The input is read in blocks
+// of whole lines, each split at newlines across sched.DefaultP() workers;
+// the result and any error are the same at every GOMAXPROCS.
 func ReadCSV(r io.Reader, card []int) (*Dataset, error) {
 	d, _, err := ReadCSVNamed(r, card)
 	return d, err
@@ -316,70 +334,5 @@ func ReadCSV(r io.Reader, card []int) (*Dataset, error) {
 // ReadCSVNamed is ReadCSV that additionally returns the header's column
 // names, so downstream reporting can use the dataset's own labels.
 func ReadCSVNamed(r io.Reader, card []int) (*Dataset, []string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("dataset: empty input")
-	}
-	header := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	n := len(header)
-	if n == 0 || (n == 1 && header[0] == "") {
-		return nil, nil, fmt.Errorf("dataset: empty header")
-	}
-	names := make([]string, n)
-	for j, h := range header {
-		names[j] = strings.TrimSpace(h)
-	}
-	if card != nil && len(card) != n {
-		return nil, nil, fmt.Errorf("dataset: header has %d columns, cardinalities has %d", n, len(card))
-	}
-	var rows [][]uint8
-	maxState := make([]int, n)
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != n {
-			return nil, nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(fields), n)
-		}
-		row := make([]uint8, n)
-		for j, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, nil, fmt.Errorf("dataset: line %d column %d: %v", line, j, err)
-			}
-			if v < 0 || v > 255 {
-				return nil, nil, fmt.Errorf("dataset: line %d column %d: state %d outside [0,255]", line, j, v)
-			}
-			if card != nil && v >= card[j] {
-				return nil, nil, fmt.Errorf("dataset: line %d column %d: state %d >= cardinality %d", line, j, v, card[j])
-			}
-			if v > maxState[j] {
-				maxState[j] = v
-			}
-			row[j] = uint8(v)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	if card == nil {
-		card = make([]int, n)
-		for j := range card {
-			card[j] = maxState[j] + 1
-		}
-	}
-	d := New(len(rows), card)
-	for i, row := range rows {
-		copy(d.cells[i*n:(i+1)*n], row)
-	}
-	return d, names, nil
+	return readCSVNamed(r, card, sched.DefaultP(), csvBlockBytes)
 }

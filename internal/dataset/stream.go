@@ -1,11 +1,9 @@
 package dataset
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
+
+	"waitfreebn/internal/sched"
 )
 
 // StreamCSV reads an integer CSV with a header row and delivers the rows
@@ -16,73 +14,14 @@ import (
 // pass); every state is validated against them. The callback receives a
 // block of rows whose backing memory is reused between calls: consume or
 // copy before returning. Returning an error from fn aborts the stream.
+//
+// The grammar is ReadCSV's, parsed by the same code, except that the
+// header must have len(card) fields and is otherwise unchecked, and a
+// state outside [0, card[j]) is reported as such. Blocks arrive in input
+// order; on an error in the input, every full block before the failing
+// line has been delivered and the partial one is dropped. The input is
+// consumed 1 MiB at a time, so a row reaches fn only once the read that
+// holds it has filled its 1 MiB or hit the end of the input.
 func StreamCSV(r io.Reader, card []int, blockSize int, fn func(rows [][]uint8) error) error {
-	if len(card) == 0 {
-		return fmt.Errorf("dataset: no cardinalities supplied")
-	}
-	for j, c := range card {
-		if c < 1 || c > 256 {
-			return fmt.Errorf("dataset: variable %d cardinality %d outside [1,256]", j, c)
-		}
-	}
-	if blockSize <= 0 {
-		blockSize = 1 << 14
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("dataset: empty input")
-	}
-	header := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	n := len(card)
-	if len(header) != n {
-		return fmt.Errorf("dataset: header has %d columns, cardinalities %d", len(header), n)
-	}
-
-	backing := make([]uint8, blockSize*n)
-	rows := make([][]uint8, 0, blockSize)
-	line := 1
-	flush := func() error {
-		if len(rows) == 0 {
-			return nil
-		}
-		err := fn(rows)
-		rows = rows[:0]
-		return err
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != n {
-			return fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(fields), n)
-		}
-		row := backing[len(rows)*n : (len(rows)+1)*n : (len(rows)+1)*n]
-		for j, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return fmt.Errorf("dataset: line %d column %d: %v", line, j, err)
-			}
-			if v < 0 || v >= card[j] {
-				return fmt.Errorf("dataset: line %d column %d: state %d outside [0,%d)", line, j, v, card[j])
-			}
-			row[j] = uint8(v)
-		}
-		rows = append(rows, row)
-		if len(rows) == blockSize {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return flush()
+	return streamCSV(r, card, blockSize, fn, sched.DefaultP(), csvBlockBytes)
 }
