@@ -78,12 +78,15 @@ compare-smoke:
 # fuzz-smoke fuzzes the untrusted CSV boundary for a few seconds per
 # target: the batch reader, its differential against the reference line
 # parser (blocks of 1-512 bytes, one and two workers), and the streaming
-# reader against the batch one. Go fuzzes one target per invocation.
+# reader against the batch one. It also fuzzes the subset block decode
+# (SubsetDecoder.CellBlock) against the per-key Cell decode. Go fuzzes one
+# target per invocation.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubsetCellBlock$$' -fuzztime $(FUZZTIME) ./internal/encoding/
 
 # check is the gate every change must pass (see README "Development").
 check: vet build test race chaos chaos-serve serve-smoke alloc-check compare-smoke

@@ -5,6 +5,7 @@ package waitfreebn
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -125,7 +126,10 @@ func TestMarginalsAgreeWithExactInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < net.NumVars(); v++ {
-		emp := pt.Marginalize([]int{v}, 4)
+		emp, err := pt.MarginalizeCtx(context.Background(), []int{v}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		exact, err := infer.QueryMarginal(net, v, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"waitfreebn/internal/bn"
@@ -188,13 +189,19 @@ func TestMarginalizationWorksOnEveryStrategyOutput(t *testing.T) {
 	// with the marginalization primitive.
 	d := testData(t, 10000, 6, 2, 6)
 	ref, _ := core.BuildSequential(d)
-	wantMarg := ref.Marginalize([]int{1, 4}, 1)
+	wantMarg, err := ref.MarginalizeCtx(context.Background(), []int{1, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range Strategies() {
 		pt, _, err := Build(s, d, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mg := pt.Marginalize([]int{1, 4}, 3)
+		mg, err := pt.MarginalizeCtx(context.Background(), []int{1, 4}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for c := range wantMarg.Counts {
 			if mg.Counts[c] != wantMarg.Counts[c] {
 				t.Fatalf("%v: marginal cell %d = %d, want %d", s, c, mg.Counts[c], wantMarg.Counts[c])

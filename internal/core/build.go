@@ -150,13 +150,15 @@ func (o Options) withDefaults(m int, keySpace uint64) (Options, bool) {
 	}
 	capped := false
 	if o.TableHint <= 0 {
-		// Expected distinct keys is at most min(m, keySpace); assume they
-		// spread evenly over partitions and pad by 2× to absorb skew.
+		// Expected distinct keys is at most min(m, keySpace); size each
+		// partition for an even share of that upper bound. A partition
+		// that gets more keys grows on demand: a 2× pad here doubled
+		// every table to save at most one rehash.
 		distinct := uint64(m)
 		if keySpace < distinct {
 			distinct = keySpace
 		}
-		hint := distinct / uint64(o.NumPartitions) * 2
+		hint := distinct / uint64(o.NumPartitions)
 		if hint > maxTableHint {
 			hint = maxTableHint
 			capped = true

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"waitfreebn/internal/core"
@@ -40,13 +41,16 @@ func ExampleBuild() {
 	// all keys accounted for: true
 }
 
-// ExamplePotentialTable_Marginalize computes P(x0) with Algorithm 3.
-func ExamplePotentialTable_Marginalize() {
+// ExamplePotentialTable_MarginalizeCtx computes P(x0) with Algorithm 3.
+func ExamplePotentialTable_MarginalizeCtx() {
 	table, _, err := core.Build(tinyDataset(), core.Options{P: 2})
 	if err != nil {
 		panic(err)
 	}
-	mg := table.Marginalize([]int{0}, 2)
+	mg, err := table.MarginalizeCtx(context.Background(), []int{0}, 2)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("P(x0=0) = %.2f\n", mg.Prob(0))
 	fmt.Printf("P(x0=1) = %.2f\n", mg.Prob(1))
 	// Output:
@@ -71,14 +75,18 @@ func ExamplePotentialTable_AllPairsMI() {
 	// I(x1;x2) = 0.0
 }
 
-// ExamplePotentialTable_MarginalizePair derives a mutual information value
-// from the pairwise joint, the way Algorithm 4 composes the primitives.
-func ExamplePotentialTable_MarginalizePair() {
+// ExamplePotentialTable_MarginalizePairCtx derives a mutual information
+// value from the pairwise joint, the way Algorithm 4 composes the
+// primitives.
+func ExamplePotentialTable_MarginalizePairCtx() {
 	table, _, err := core.Build(tinyDataset(), core.Options{P: 2})
 	if err != nil {
 		panic(err)
 	}
-	joint := table.MarginalizePair(0, 2, 2)
+	joint, err := table.MarginalizePairCtx(context.Background(), 0, 2, 2)
+	if err != nil {
+		panic(err)
+	}
 	mi := stats.MutualInfoCounts(joint.Counts, joint.Card[0], joint.Card[1])
 	fmt.Printf("I(x0;x2) = %.1f bits\n", mi)
 	// Output:

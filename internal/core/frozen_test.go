@@ -126,23 +126,23 @@ func TestFrozenScansBitIdenticalToLive(t *testing.T) {
 
 			for _, p := range []int{1, 3, 8, 2 * tc.p, 64} {
 				for _, vars := range varsets {
-					a := live.Marginalize(vars, p)
-					b := frozen.Marginalize(vars, p)
+					a := marg(t, live, vars, p)
+					b := marg(t, frozen, vars, p)
 					for c := range a.Counts {
 						if a.Counts[c] != b.Counts[c] {
 							t.Fatalf("p=%d vars=%v cell %d: live %d != frozen %d", p, vars, c, a.Counts[c], b.Counts[c])
 						}
 					}
 				}
-				a := live.MarginalizePair(1, 4, p)
-				b := frozen.MarginalizePair(1, 4, p)
+				a := margPair(t, live, 1, 4, p)
+				b := margPair(t, frozen, 1, 4, p)
 				for c := range a.Counts {
 					if a.Counts[c] != b.Counts[c] {
 						t.Fatalf("p=%d pair cell %d: live %d != frozen %d", p, c, a.Counts[c], b.Counts[c])
 					}
 				}
-				am := live.MarginalizeMany(varsets, p)
-				bm := frozen.MarginalizeMany(varsets, p)
+				am := margMany(t, live, varsets, p)
+				bm := margMany(t, frozen, varsets, p)
 				for k := range am {
 					for c := range am[k].Counts {
 						if am[k].Counts[c] != bm[k].Counts[c] {
@@ -170,13 +170,13 @@ func TestRebalanceInvalidatesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := pt.Marginalize([]int{1, 3}, 4)
+	ref := marg(t, pt, []int{1, 3}, 4)
 	pt.Freeze(0)
 	pt.Rebalance(7)
 	if pt.Frozen() {
 		t.Fatal("snapshot survived Rebalance")
 	}
-	mg := pt.Marginalize([]int{1, 3}, 4)
+	mg := marg(t, pt, []int{1, 3}, 4)
 	for c := range ref.Counts {
 		if mg.Counts[c] != ref.Counts[c] {
 			t.Fatalf("cell %d after rebalance: %d != %d", c, mg.Counts[c], ref.Counts[c])
@@ -187,7 +187,7 @@ func TestRebalanceInvalidatesSnapshot(t *testing.T) {
 	if st.Partitions != 7 {
 		t.Fatalf("re-freeze saw %d partitions, want 7", st.Partitions)
 	}
-	mg = pt.Marginalize([]int{1, 3}, 4)
+	mg = marg(t, pt, []int{1, 3}, 4)
 	for c := range ref.Counts {
 		if mg.Counts[c] != ref.Counts[c] {
 			t.Fatalf("cell %d after re-freeze: %d != %d", c, mg.Counts[c], ref.Counts[c])
@@ -244,7 +244,7 @@ func TestScanClampSurfaced(t *testing.T) {
 	clamped := func() uint64 {
 		return r.Snapshot().Counters[metricScanClamped]
 	}
-	pt.Marginalize([]int{0, 1}, 16)
+	marg(t, pt, []int{0, 1}, 16)
 	if got := clamped(); got != 1 {
 		t.Fatalf("clamp counter after live over-subscribed scan = %v, want 1", got)
 	}
@@ -253,7 +253,7 @@ func TestScanClampSurfaced(t *testing.T) {
 		t.Fatalf("clamp counter after live fused MI = %v, want 2", got)
 	}
 	pt.Freeze(0)
-	pt.Marginalize([]int{0, 1}, 16)
+	marg(t, pt, []int{0, 1}, 16)
 	pt.AllPairsMI(16, MIFused)
 	if got := clamped(); got != 2 {
 		t.Fatalf("clamp counter moved on frozen scans: %v, want 2", got)
@@ -268,7 +268,7 @@ func TestFreezeObsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt.Freeze(0)
-	pt.Marginalize([]int{0, 1}, 2)
+	marg(t, pt, []int{0, 1}, 2)
 	s := r.Snapshot()
 	if got := s.Gauges[metricFrozenEntries]; got != float64(pt.Len()) {
 		t.Fatalf("%s = %v, want %d", metricFrozenEntries, got, pt.Len())

@@ -331,24 +331,16 @@ func sortedVarset(vars []int) []int {
 	return s
 }
 
-// MarginalizeManyCached computes marginals for several variable subsets —
-// in the exact axis order each subset requests — deduplicating the scans
-// through the cache. See MarginalizeManyCachedCtx.
-//
-// Deprecated: use MarginalizeManyCachedCtx.
-func (t *PotentialTable) MarginalizeManyCached(varsets [][]int, p int, cache *MarginalCache) []*Marginal {
-	out, err := t.MarginalizeManyCachedCtx(context.Background(), varsets, p, cache)
-	mustScan(err)
-	return out
-}
-
-// MarginalizeManyCachedCtx is the cross-pair fused marginalization entry
-// point the phase-2/3 wavefront runs on. It resolves each requested varset
-// against the cache under its canonical (sorted) key, dedupes the misses —
-// including requests within the same call that share a variable set —
-// computes them with as few fused MarginalizeManyCtx scans as the
-// maxFusedScanCells budget allows, inserts the canonical results into the
-// cache, and returns every marginal reordered to its requested axis order.
+// MarginalizeManyCachedCtx is the cached, fused marginalization entry
+// point. Its callers are the learner's serial CI search (one request per
+// separation search), the -phase-par wavefront's batches, and the serving
+// path's cache misses (bnserve's coalesced reads). It resolves each
+// requested varset against the cache under its canonical (sorted) key,
+// dedupes the misses — including requests within the same call that share
+// a variable set — computes them with as few fused MarginalizeManyCtx scans
+// as the maxFusedScanCells budget allows, inserts the canonical results
+// into the cache, and returns every marginal reordered to its requested
+// axis order.
 //
 // Results are bit-identical to calling MarginalizeManyCtx directly: counts
 // are exact integers and Reorder is an exact permutation. A nil cache

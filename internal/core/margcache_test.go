@@ -36,13 +36,13 @@ func TestReorderRoundTrip(t *testing.T) {
 	}
 	orders := [][]int{{2, 0, 4}, {4, 2, 0}, {0, 2, 4}, {0, 4, 2}}
 	for _, order := range orders {
-		want := pt.Marginalize(order, 2)
-		base := pt.Marginalize([]int{0, 2, 4}, 2)
+		want := marg(t, pt, order, 2)
+		base := marg(t, pt, []int{0, 2, 4}, 2)
 		got := base.Reorder(order)
 		marginalsEqual(t, got, want, "reorder")
 	}
 	// Identity reorder returns the receiver untouched.
-	base := pt.Marginalize([]int{1, 3}, 2)
+	base := marg(t, pt, []int{1, 3}, 2)
 	if base.Reorder([]int{1, 3}) != base {
 		t.Error("identity Reorder did not return the receiver")
 	}
@@ -75,14 +75,14 @@ func TestMarginalizeManyCachedMatchesUncached(t *testing.T) {
 	varsets := [][]int{
 		{1, 3, 5}, {5, 3, 1}, {0, 7}, {7, 0}, {2}, {1, 3, 5}, {4, 2, 6},
 	}
-	want := pt.MarginalizeMany(varsets, 4)
+	want := margMany(t, pt, varsets, 4)
 	for _, cache := range []*MarginalCache{nil, NewMarginalCache(1<<16, nil)} {
-		got := pt.MarginalizeManyCached(varsets, 4, cache)
+		got := margManyCached(t, pt, varsets, 4, cache)
 		for k := range varsets {
 			marginalsEqual(t, got[k], want[k], "cached vs direct")
 		}
 		// A second pass must serve everything from the cache and still agree.
-		got2 := pt.MarginalizeManyCached(varsets, 4, cache)
+		got2 := margManyCached(t, pt, varsets, 4, cache)
 		for k := range varsets {
 			marginalsEqual(t, got2[k], want[k], "second pass")
 		}
@@ -97,13 +97,13 @@ func TestMarginalCacheHitMissCounters(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cache := NewMarginalCache(1<<16, reg)
-	pt.MarginalizeManyCached([][]int{{0, 1}, {2, 3}}, 2, cache)
+	margManyCached(t, pt, [][]int{{0, 1}, {2, 3}}, 2, cache)
 	st := cache.Stats()
 	if st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after cold pass: %+v", st)
 	}
 	// {1, 0} is the same canonical set as {0, 1}: a hit in another order.
-	pt.MarginalizeManyCached([][]int{{1, 0}, {4, 5}}, 2, cache)
+	margManyCached(t, pt, [][]int{{1, 0}, {4, 5}}, 2, cache)
 	st = cache.Stats()
 	if st.Hits != 1 || st.Misses != 3 || st.Entries != 3 {
 		t.Fatalf("after warm pass: %+v", st)
@@ -129,7 +129,7 @@ func TestMarginalCacheEvictsWithinBudget(t *testing.T) {
 	// Budget of 30 cells holds at most three 9-cell pair marginals.
 	cache := NewMarginalCache(30, nil)
 	for i := 0; i < 9; i++ {
-		pt.MarginalizeManyCached([][]int{{i, i + 1}}, 2, cache)
+		margManyCached(t, pt, [][]int{{i, i + 1}}, 2, cache)
 	}
 	st := cache.Stats()
 	if st.Cells > 30 {
@@ -140,7 +140,7 @@ func TestMarginalCacheEvictsWithinBudget(t *testing.T) {
 	}
 	// An entry bigger than the whole budget is computed but never cached.
 	before := cache.Stats().Entries
-	pt.MarginalizeManyCached([][]int{{0, 1, 2, 3}}, 2, cache) // 81 cells > 30
+	margManyCached(t, pt, [][]int{{0, 1, 2, 3}}, 2, cache) // 81 cells > 30
 	if got := cache.Stats(); got.Cells > 30 || got.Entries > before+0 {
 		t.Errorf("oversized entry was cached: %+v", got)
 	}
@@ -155,7 +155,7 @@ func TestMarginalizeManyCachedConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewMarginalCache(1<<12, nil)
-	want := pt.Marginalize([]int{1, 4}, 1)
+	want := marg(t, pt, []int{1, 4}, 1)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {

@@ -201,24 +201,18 @@ func putPartials(partials [][]uint64) {
 	}
 }
 
-// Marginalize computes the marginal distribution over vars using p workers
-// (Algorithm 3). Each worker scans a disjoint subset of the partitions,
-// decoding only the variables in vars from each key and accumulating a
-// partial marginal; partials are then merged (line 16). p <= 0 selects
-// GOMAXPROCS; on a live table p is additionally capped at the partition
-// count, while a frozen table splits work by index range at any p (see
-// readP).
+// MarginalizeCtx computes the marginal distribution over vars using p
+// workers (Algorithm 3). Each worker scans a disjoint subset of the
+// partitions, decoding only the variables in vars from each key and
+// accumulating a partial marginal; partials are then merged (line 16).
+// p <= 0 selects GOMAXPROCS; on a live table p is additionally capped at
+// the partition count, while a frozen table splits work by index range at
+// any p (see readP).
 //
-// Deprecated: use MarginalizeCtx.
-func (t *PotentialTable) Marginalize(vars []int, p int) *Marginal {
-	mg, err := t.MarginalizeCtx(context.Background(), vars, p)
-	mustScan(err)
-	return mg
-}
-
-// MarginalizeCtx is Marginalize under the fault-tolerant execution
-// contract: workers observe ctx at chunk boundaries and the scan returns
-// context.Canceled (or DeadlineExceeded) in bounded time.
+// It runs under the fault-tolerant execution contract: workers observe ctx
+// at chunk boundaries and the scan returns context.Canceled (or
+// DeadlineExceeded) in bounded time. The per-key Cell loop is kept apart
+// from MarginalizeManyCtx's block kernel, so either can check the other.
 func (t *PotentialTable) MarginalizeCtx(ctx context.Context, vars []int, p int) (*Marginal, error) {
 	p = t.readP(p)
 	dec := t.codec.SubsetDecoder(vars)
@@ -248,19 +242,10 @@ func (t *PotentialTable) MarginalizeCtx(ctx context.Context, vars []int, p int) 
 	}, nil
 }
 
-// MarginalizePair is Marginalize for the two-variable case used by the
-// drafting phase; it avoids the general subset-decoder indirection with a
-// fixed-arity fast path.
-//
-// Deprecated: use MarginalizePairCtx.
-func (t *PotentialTable) MarginalizePair(i, j int, p int) *Marginal {
-	mg, err := t.MarginalizePairCtx(context.Background(), i, j, p)
-	mustScan(err)
-	return mg
-}
-
-// MarginalizePairCtx is MarginalizePair under the fault-tolerant execution
-// contract (see MarginalizeCtx).
+// MarginalizePairCtx is MarginalizeCtx for the two-variable case used by
+// the drafting phase; it avoids the general subset-decoder indirection with
+// a fixed-arity fast path. It runs under the same fault-tolerant execution
+// contract.
 func (t *PotentialTable) MarginalizePairCtx(ctx context.Context, i, j int, p int) (*Marginal, error) {
 	p = t.readP(p)
 	dec := t.codec.PairDecoder(i, j)

@@ -1,10 +1,49 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"waitfreebn/internal/dataset"
 )
+
+// marg, margPair, margMany and margManyCached run the scan entry points
+// under a background context and fail the test on error.
+func marg(tb testing.TB, pt *PotentialTable, vars []int, p int) *Marginal {
+	tb.Helper()
+	mg, err := pt.MarginalizeCtx(context.Background(), vars, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mg
+}
+
+func margPair(tb testing.TB, pt *PotentialTable, i, j, p int) *Marginal {
+	tb.Helper()
+	mg, err := pt.MarginalizePairCtx(context.Background(), i, j, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mg
+}
+
+func margMany(tb testing.TB, pt *PotentialTable, varsets [][]int, p int) []*Marginal {
+	tb.Helper()
+	out, err := pt.MarginalizeManyCtx(context.Background(), varsets, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func margManyCached(tb testing.TB, pt *PotentialTable, varsets [][]int, p int, cache *MarginalCache) []*Marginal {
+	tb.Helper()
+	out, err := pt.MarginalizeManyCachedCtx(context.Background(), varsets, p, cache)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 // bruteMarginal computes the marginal over vars directly from the dataset.
 func bruteMarginal(d *dataset.Dataset, vars []int) map[string]uint64 {
@@ -26,7 +65,7 @@ func TestMarginalizeMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vars := range [][]int{{0}, {5}, {1, 3}, {0, 2, 4}, {5, 1}} {
-		mg := pt.Marginalize(vars, 4)
+		mg := marg(t, pt, vars, 4)
 		if mg.M != 10000 {
 			t.Fatalf("vars %v: M = %d", vars, mg.M)
 		}
@@ -59,9 +98,9 @@ func TestMarginalizeIndependentOfWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := pt.Marginalize([]int{2, 6}, 1)
+	ref := marg(t, pt, []int{2, 6}, 1)
 	for _, p := range []int{2, 3, 8, 16} {
-		mg := pt.Marginalize([]int{2, 6}, p)
+		mg := marg(t, pt, []int{2, 6}, p)
 		for c := range ref.Counts {
 			if mg.Counts[c] != ref.Counts[c] {
 				t.Fatalf("p=%d cell %d: %d != %d", p, c, mg.Counts[c], ref.Counts[c])
@@ -78,8 +117,8 @@ func TestMarginalizePairMatchesGeneral(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 6; j++ {
-			a := pt.Marginalize([]int{i, j}, 4)
-			b := pt.MarginalizePair(i, j, 4)
+			a := marg(t, pt, []int{i, j}, 4)
+			b := margPair(t, pt, i, j, 4)
 			if len(a.Counts) != len(b.Counts) {
 				t.Fatalf("(%d,%d): cell counts differ", i, j)
 			}
@@ -102,7 +141,7 @@ func TestMarginalProb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := pt.Marginalize([]int{0}, 2)
+	mg := marg(t, pt, []int{0}, 2)
 	if got := mg.Prob(0); got != 0.5 {
 		t.Errorf("P(x0=0) = %v, want 0.5", got)
 	}
@@ -145,11 +184,11 @@ func TestSumOverMatchesDirectMarginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint := pt.MarginalizePair(1, 3, 4)
+	joint := margPair(t, pt, 1, 3, 4)
 	mx := joint.SumOver(0)
 	my := joint.SumOver(1)
-	dx := pt.Marginalize([]int{1}, 4)
-	dy := pt.Marginalize([]int{3}, 4)
+	dx := marg(t, pt, []int{1}, 4)
+	dy := marg(t, pt, []int{3}, 4)
 	for s := 0; s < 3; s++ {
 		if mx.Counts[s] != dx.Counts[s] {
 			t.Errorf("SumOver(0) state %d: %d != %d", s, mx.Counts[s], dx.Counts[s])
@@ -169,10 +208,10 @@ func TestSumOverThreeVariableMarginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3 := pt.Marginalize([]int{0, 2, 4}, 2)
+	m3 := marg(t, pt, []int{0, 2, 4}, 2)
 	for keep, v := range []int{0, 2, 4} {
 		got := m3.SumOver(keep)
-		want := pt.Marginalize([]int{v}, 2)
+		want := marg(t, pt, []int{v}, 2)
 		for s := range got.Counts {
 			if got.Counts[s] != want.Counts[s] {
 				t.Errorf("SumOver(%d) state %d: %d != %d", keep, s, got.Counts[s], want.Counts[s])
@@ -189,13 +228,13 @@ func TestRebalancePreservesContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, _ := BuildSequential(d)
-	before := pt.Marginalize([]int{1, 4}, 4)
+	before := marg(t, pt, []int{1, 4}, 4)
 
 	pt.Rebalance(4)
 	if !pt.Equal(ref) {
 		t.Fatal("Rebalance changed table content")
 	}
-	after := pt.Marginalize([]int{1, 4}, 4)
+	after := marg(t, pt, []int{1, 4}, 4)
 	for c := range before.Counts {
 		if before.Counts[c] != after.Counts[c] {
 			t.Fatalf("cell %d changed: %d != %d", c, before.Counts[c], after.Counts[c])

@@ -82,7 +82,7 @@ func TestQuickMarginalInvariants(t *testing.T) {
 		perm := r.Perm(n)
 		k := 1 + r.Intn(min(3, n))
 		vars := perm[:k]
-		mg := pt.Marginalize(vars, 1+r.Intn(4))
+		mg := marg(t, pt, vars, 1+r.Intn(4))
 		if mg.Total() != uint64(m) {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestQuickMarginalInvariants(t *testing.T) {
 		// match direct marginalization.
 		keep := r.Intn(k)
 		oneD := mg.SumOver(keep)
-		direct := pt.Marginalize([]int{vars[keep]}, 2)
+		direct := marg(t, pt, []int{vars[keep]}, 2)
 		for c := range oneD.Counts {
 			if oneD.Counts[c] != direct.Counts[c] {
 				return false

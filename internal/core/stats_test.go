@@ -80,7 +80,7 @@ func TestWithDefaultsCapsHeuristicHint(t *testing.T) {
 		t.Fatalf("heuristic hint not capped: hint=%d capped=%v", o.TableHint, capped)
 	}
 	o, capped = Options{P: 1}.withDefaults(1000, 1<<62)
-	if capped || o.TableHint != 2000 {
+	if capped || o.TableHint != 1000 {
 		t.Fatalf("small heuristic hint wrong: hint=%d capped=%v", o.TableHint, capped)
 	}
 }

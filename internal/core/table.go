@@ -2,7 +2,7 @@
 // composition:
 //
 //   - wait-free potential-table construction (Algorithms 1 and 2) — Build;
-//   - parallel marginalization (Algorithm 3) — PotentialTable.Marginalize;
+//   - parallel marginalization (Algorithm 3) — PotentialTable.MarginalizeCtx;
 //   - all-pairs mutual information for the drafting phase of Cheng et al.'s
 //     structure-learning algorithm (Algorithm 4) — AllPairsMI.
 //
@@ -251,7 +251,7 @@ func (t *PotentialTable) Len() int {
 
 // Get returns the count recorded for key, searching every partition.
 // Lookup is O(P) in the worst case (binary search per partition on a frozen
-// table); bulk consumers should use Range or Marginalize instead.
+// table); bulk consumers should use Range or MarginalizeCtx instead.
 func (t *PotentialTable) Get(key uint64) uint64 {
 	if ft := t.frozen.Load(); ft != nil {
 		return ft.get(key)

@@ -405,6 +405,12 @@ func readCSVNamed(r io.Reader, card []int, p, block int) (*Dataset, []string, er
 	if err != nil {
 		return nil, nil, err
 	}
+	// A caller's cardinality outside [1,256] that no state ruled out first
+	// (say 300 with every state below 256, or 0 with no rows) would panic
+	// in New.
+	if err := checkCard(card); err != nil {
+		return nil, nil, err
+	}
 	d := New(m, card)
 	off := 0
 	for _, part := range parts {
@@ -413,15 +419,24 @@ func readCSVNamed(r io.Reader, card []int, p, block int) (*Dataset, []string, er
 	return d, names, nil
 }
 
+// checkCard reports the first cardinality outside [1,256], the range New
+// accepts.
+func checkCard(card []int) error {
+	for j, c := range card {
+		if c < 1 || c > 256 {
+			return fmt.Errorf("dataset: variable %d cardinality %d outside [1,256]", j, c)
+		}
+	}
+	return nil
+}
+
 // streamCSV is StreamCSV on p workers reading block bytes at a time.
 func streamCSV(r io.Reader, card []int, blockSize int, fn func(rows [][]uint8) error, p, block int) error {
 	if len(card) == 0 {
 		return errors.New("dataset: no cardinalities supplied")
 	}
-	for j, c := range card {
-		if c < 1 || c > 256 {
-			return fmt.Errorf("dataset: variable %d cardinality %d outside [1,256]", j, c)
-		}
+	if err := checkCard(card); err != nil {
+		return err
 	}
 	if blockSize <= 0 {
 		blockSize = 1 << 14

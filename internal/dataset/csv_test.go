@@ -137,6 +137,35 @@ func TestReadCSVCardinalityAbove256(t *testing.T) {
 	}
 }
 
+// TestReadCSVBadCardinalityIsAnError checks the inputs on which no state
+// rules a supplied cardinality out before New would: every state below 256
+// with a cardinality of 300, and a header with no rows with a cardinality of
+// 0. Both are the error StreamCSV gives, not a panic.
+func TestReadCSVBadCardinalityIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		card []int
+	}{
+		{"a\n0\n", []int{300}},
+		{"a\n", []int{0}},
+		{"a,b\n", []int{2, 0}},
+	} {
+		want := fmt.Sprintf("dataset: variable %d cardinality %d outside [1,256]", len(tc.card)-1, tc.card[len(tc.card)-1])
+		for _, p := range []int{1, 2} {
+			_, _, err := readCSVNamed(strings.NewReader(tc.in), tc.card, p, csvBlockBytes)
+			if err == nil || err.Error() != want {
+				t.Errorf("%q card %v p=%d: err %v, want %q", tc.in, tc.card, p, err, want)
+			}
+		}
+		if _, err := ReadCSV(strings.NewReader(tc.in), tc.card); err == nil || err.Error() != want {
+			t.Errorf("ReadCSV %q card %v: err %v, want %q", tc.in, tc.card, err, want)
+		}
+		if err := StreamCSV(strings.NewReader(tc.in), tc.card, 0, func([][]uint8) error { return nil }); err == nil || err.Error() != want {
+			t.Errorf("StreamCSV %q card %v: err %v, want %q", tc.in, tc.card, err, want)
+		}
+	}
+}
+
 func TestReadCSVMatchesReferenceOnGeneratedData(t *testing.T) {
 	d := New(5000, []int{2, 3, 17, 256})
 	d.UniformIndependent(7, 2)

@@ -323,9 +323,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 //   - A line of 1 MiB or more before its newline fails with
 //     bufio.ErrTooLong.
 //
-// The first error in line order is returned. The input is read in blocks
-// of whole lines, each split at newlines across sched.DefaultP() workers;
-// the result and any error are the same at every GOMAXPROCS.
+// The first error in line order is returned. A supplied cardinality
+// outside [1,256] is an error too, reported once the body parses. The
+// input is read in blocks of whole lines, each split at newlines across
+// sched.DefaultP() workers; the result and any error are the same at every
+// GOMAXPROCS.
 func ReadCSV(r io.Reader, card []int) (*Dataset, error) {
 	d, _, err := ReadCSVNamed(r, card)
 	return d, err

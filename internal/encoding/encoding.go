@@ -318,6 +318,105 @@ func (d *SubsetDecoder) Cell(key uint64) int {
 	return int(idx)
 }
 
+// CellBlock sets dst[e] = Cell(keys[e]) for every key, one subset variable
+// at a time: each pass holds one variable's decode constants in registers
+// and streams over the whole block. A variable whose stride and cardinality
+// are powers of two decodes with a shift and a mask; the others use the
+// reciprocal decode. When sorted is true the keys must be ascending, and a
+// variable whose stride quotient is equal at the first and last key is
+// constant over the block: it is decoded once and folded into a base offset.
+// dst must be at least as long as keys.
+func (d *SubsetDecoder) CellBlock(keys []uint64, sorted bool, dst []uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	dst = dst[:len(keys)]
+	first, last := keys[0], keys[len(keys)-1]
+	var base uint64
+	set := true // the first decoded column stores, the rest add
+	for k := range d.dig {
+		dg := &d.dig[k]
+		if dg.card == 1 {
+			continue // always state 0; recipColumn also relies on card > 1
+		}
+		out := d.outStride[k]
+		if sorted {
+			if q := dg.rs.Div(first); q == dg.rs.Div(last) {
+				base += (q - dg.rc.Div(q)*dg.card) * out
+				continue
+			}
+		}
+		if dg.pow2 {
+			pow2Column(keys, dst, dg.shift, dg.card-1, out, set)
+		} else {
+			recipColumn(keys, dst, *dg, out, set)
+		}
+		set = false
+	}
+	switch {
+	case set:
+		for e := range dst {
+			dst[e] = base
+		}
+	case base != 0:
+		for e := range dst {
+			dst[e] += base
+		}
+	}
+}
+
+// pow2Column adds ((key >> s) & mask) · out to dst[e] for every key, or
+// stores it when set is true. len(dst) must equal len(keys). It is kept out
+// of line, as is recipColumn, so its loop gets registers to itself.
+//
+//go:noinline
+func pow2Column(keys, dst []uint64, s uint8, mask, out uint64, set bool) {
+	dst = dst[:len(keys)]
+	s &= 63
+	if set {
+		for e, key := range keys {
+			dst[e] = (key >> s & mask) * out
+		}
+		return
+	}
+	for e, key := range keys {
+		dst[e] += (key >> s & mask) * out
+	}
+}
+
+// recipColumn is pow2Column for a digit decoded by reciprocals. It is
+// digit.decode with the multipliers and shifts held in registers; the
+// divide-by-one sentinel can only be the stride (a cardinality of 1 never
+// reaches here), so the stride-one column gets its own loop.
+//
+//go:noinline
+func recipColumn(keys, dst []uint64, dg digit, out uint64, set bool) {
+	dst = dst[:len(keys)]
+	ms, ss := dg.rs.mul, dg.rs.shift&63
+	mc, sc, card := dg.rc.mul, dg.rc.shift&63, dg.card
+	if ms == 0 {
+		for e, q := range keys {
+			hi, _ := bits.Mul64(q, mc)
+			if v := (q - (hi>>sc)*card) * out; set {
+				dst[e] = v
+			} else {
+				dst[e] += v
+			}
+		}
+		return
+	}
+	for e, key := range keys {
+		q, _ := bits.Mul64(key, ms)
+		q >>= ss
+		hi, _ := bits.Mul64(q, mc)
+		if v := (q - (hi>>sc)*card) * out; set {
+			dst[e] = v
+		} else {
+			dst[e] += v
+		}
+	}
+}
+
 // CellStates recovers the subset's state string from a flattened marginal
 // cell index, appending into dst. It is the inverse of Cell restricted to
 // the subset and is used when reporting marginal tables.

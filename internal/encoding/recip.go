@@ -73,10 +73,20 @@ type digit struct {
 	rs   Reciprocal // reciprocal of the position's stride
 	rc   Reciprocal // reciprocal of the position's cardinality
 	card uint64
+	// pow2 reports that stride and card are both powers of two, as in every
+	// binary codec, so the digit is (key >> shift) & (card-1). Only the
+	// subset block kernel (SubsetDecoder.CellBlock) reads these; decode
+	// stays branch-free.
+	pow2  bool
+	shift uint8
 }
 
 func newDigit(stride, card uint64) digit {
-	return digit{rs: NewReciprocal(stride), rc: NewReciprocal(card), card: card}
+	d := digit{rs: NewReciprocal(stride), rc: NewReciprocal(card), card: card}
+	if bits.OnesCount64(stride) == 1 && bits.OnesCount64(card) == 1 {
+		d.pow2, d.shift = true, uint8(bits.TrailingZeros64(stride))
+	}
+	return d
 }
 
 func (d digit) decode(key uint64) uint64 {

@@ -4,8 +4,8 @@
 // and d-separation queries the conditional-independence machinery needs.
 //
 // Vertices are dense integers [0, n), matching variable indexes everywhere
-// else in the repository. Adjacency is stored both as a matrix (O(1) edge
-// tests, n ≤ a few thousand here) and as sorted neighbor lists (fast
+// else in the repository. An undirected graph stores adjacency both as a
+// bit matrix (O(1) edge tests) and as sorted neighbor lists (fast
 // iteration).
 package graph
 
@@ -22,7 +22,7 @@ import (
 // exclusive access.
 type Undirected struct {
 	n     int
-	adj   [][]bool
+	adj   bitMatrix
 	nbr   [][]int // lazily maintained sorted adjacency lists
 	epoch uint64  // bumped on every structural change
 }
@@ -32,11 +32,7 @@ func NewUndirected(n int) *Undirected {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	return &Undirected{n: n, adj: adj, nbr: make([][]int, n)}
+	return &Undirected{n: n, adj: newBitMatrix(n), nbr: make([][]int, n)}
 }
 
 // N returns the number of vertices.
@@ -55,11 +51,11 @@ func (g *Undirected) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on %d", u))
 	}
-	if g.adj[u][v] {
+	if g.adj.get(u, v) {
 		return
 	}
-	g.adj[u][v] = true
-	g.adj[v][u] = true
+	g.adj.set(u, v, true)
+	g.adj.set(v, u, true)
 	g.nbr[u] = insertSorted(g.nbr[u], v)
 	g.nbr[v] = insertSorted(g.nbr[v], u)
 	g.epoch++
@@ -77,11 +73,11 @@ func (g *Undirected) Epoch() uint64 { return g.epoch }
 func (g *Undirected) RemoveEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	if !g.adj[u][v] {
+	if !g.adj.get(u, v) {
 		return
 	}
-	g.adj[u][v] = false
-	g.adj[v][u] = false
+	g.adj.set(u, v, false)
+	g.adj.set(v, u, false)
 	g.nbr[u] = removeSorted(g.nbr[u], v)
 	g.nbr[v] = removeSorted(g.nbr[v], u)
 	g.epoch++
@@ -91,7 +87,7 @@ func (g *Undirected) RemoveEdge(u, v int) {
 func (g *Undirected) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	return g.adj[u][v]
+	return g.adj.get(u, v)
 }
 
 // Neighbors returns the sorted neighbors of v. The returned slice aliases
@@ -131,9 +127,8 @@ func (g *Undirected) Edges() [][2]int {
 
 // Clone returns a deep copy.
 func (g *Undirected) Clone() *Undirected {
-	c := NewUndirected(g.n)
-	for u := 0; u < g.n; u++ {
-		copy(c.adj[u], g.adj[u])
+	c := &Undirected{n: g.n, adj: g.adj.clone(), nbr: make([][]int, g.n)}
+	for u := range c.nbr {
 		c.nbr[u] = append([]int(nil), g.nbr[u]...)
 	}
 	return c

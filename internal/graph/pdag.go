@@ -13,8 +13,8 @@ import (
 // or a new v-structure.
 type PDAG struct {
 	n        int
-	directed [][]bool // directed[u][v]: edge u→v
-	undir    [][]bool // undir[u][v] == undir[v][u]: edge u—v
+	directed bitMatrix // (u, v) set: edge u→v
+	undir    bitMatrix // (u, v) and (v, u) set: edge u—v
 }
 
 // NewPDAG returns an edgeless PDAG on n vertices.
@@ -22,13 +22,7 @@ func NewPDAG(n int) *PDAG {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	d := make([][]bool, n)
-	u := make([][]bool, n)
-	for i := range d {
-		d[i] = make([]bool, n)
-		u[i] = make([]bool, n)
-	}
-	return &PDAG{n: n, directed: d, undir: u}
+	return &PDAG{n: n, directed: newBitMatrix(n), undir: newBitMatrix(n)}
 }
 
 // FromSkeleton returns a PDAG whose every edge is the undirected version
@@ -36,8 +30,8 @@ func NewPDAG(n int) *PDAG {
 func FromSkeleton(g *Undirected) *PDAG {
 	p := NewPDAG(g.N())
 	for _, e := range g.Edges() {
-		p.undir[e[0]][e[1]] = true
-		p.undir[e[1]][e[0]] = true
+		p.undir.set(e[0], e[1], true)
+		p.undir.set(e[1], e[0], true)
 	}
 	return p
 }
@@ -55,19 +49,19 @@ func (p *PDAG) check(v int) {
 func (p *PDAG) HasUndirected(u, v int) bool {
 	p.check(u)
 	p.check(v)
-	return p.undir[u][v]
+	return p.undir.get(u, v)
 }
 
 // HasDirected reports a directed edge u→v.
 func (p *PDAG) HasDirected(u, v int) bool {
 	p.check(u)
 	p.check(v)
-	return p.directed[u][v]
+	return p.directed.get(u, v)
 }
 
 // Adjacent reports whether u and v are connected by any edge.
 func (p *PDAG) Adjacent(u, v int) bool {
-	return p.undir[u][v] || p.directed[u][v] || p.directed[v][u]
+	return p.undir.get(u, v) || p.directed.get(u, v) || p.directed.get(v, u)
 }
 
 // AddUndirected inserts u—v (no-op if the pair is already adjacent).
@@ -80,8 +74,8 @@ func (p *PDAG) AddUndirected(u, v int) {
 	if p.Adjacent(u, v) {
 		return
 	}
-	p.undir[u][v] = true
-	p.undir[v][u] = true
+	p.undir.set(u, v, true)
+	p.undir.set(v, u, true)
 }
 
 // Orient upgrades the undirected edge u—v to u→v. It reports false (and
@@ -90,12 +84,12 @@ func (p *PDAG) AddUndirected(u, v int) {
 func (p *PDAG) Orient(u, v int) bool {
 	p.check(u)
 	p.check(v)
-	if !p.undir[u][v] {
+	if !p.undir.get(u, v) {
 		return false
 	}
-	p.undir[u][v] = false
-	p.undir[v][u] = false
-	p.directed[u][v] = true
+	p.undir.set(u, v, false)
+	p.undir.set(v, u, false)
+	p.directed.set(u, v, true)
 	return true
 }
 
@@ -104,7 +98,7 @@ func (p *PDAG) UndirectedNeighbors(u int) []int {
 	p.check(u)
 	var out []int
 	for v := 0; v < p.n; v++ {
-		if p.undir[u][v] {
+		if p.undir.get(u, v) {
 			out = append(out, v)
 		}
 	}
@@ -116,7 +110,7 @@ func (p *PDAG) DirectedParents(u int) []int {
 	p.check(u)
 	var out []int
 	for v := 0; v < p.n; v++ {
-		if p.directed[v][u] {
+		if p.directed.get(v, u) {
 			out = append(out, v)
 		}
 	}
@@ -128,7 +122,7 @@ func (p *PDAG) DirectedChildren(u int) []int {
 	p.check(u)
 	var out []int
 	for v := 0; v < p.n; v++ {
-		if p.directed[u][v] {
+		if p.directed.get(u, v) {
 			out = append(out, v)
 		}
 	}
@@ -140,7 +134,7 @@ func (p *PDAG) DirectedEdges() [][2]int {
 	var out [][2]int
 	for u := 0; u < p.n; u++ {
 		for v := 0; v < p.n; v++ {
-			if p.directed[u][v] {
+			if p.directed.get(u, v) {
 				out = append(out, [2]int{u, v})
 			}
 		}
@@ -153,7 +147,7 @@ func (p *PDAG) UndirectedEdges() [][2]int {
 	var out [][2]int
 	for u := 0; u < p.n; u++ {
 		for v := u + 1; v < p.n; v++ {
-			if p.undir[u][v] {
+			if p.undir.get(u, v) {
 				out = append(out, [2]int{u, v})
 			}
 		}
@@ -181,7 +175,7 @@ func (p *PDAG) HasDirectedPath(u, v int) bool {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for y := 0; y < p.n; y++ {
-			if !p.directed[x][y] || visited[y] {
+			if !p.directed.get(x, y) || visited[y] {
 				continue
 			}
 			if y == v {
@@ -226,10 +220,5 @@ func (p *PDAG) ToDAG() (*DAG, error) {
 
 // Clone returns a deep copy.
 func (p *PDAG) Clone() *PDAG {
-	c := NewPDAG(p.n)
-	for u := 0; u < p.n; u++ {
-		copy(c.directed[u], p.directed[u])
-		copy(c.undir[u], p.undir[u])
-	}
-	return c
+	return &PDAG{n: p.n, directed: p.directed.clone(), undir: p.undir.clone()}
 }

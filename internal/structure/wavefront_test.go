@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -169,7 +170,10 @@ func TestFlattenedLayoutContract(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			vars := append(append([]int(nil), tc.z...), tc.x, tc.y)
-			mg := pt.Marginalize(vars, 2)
+			mg, err := pt.MarginalizeCtx(context.Background(), vars, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			// Brute-force contingency table from the raw rows, flattening
 			// the axes in the same (z..., x, y) order, leading axis major.
