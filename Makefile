@@ -79,7 +79,8 @@ compare-smoke:
 # target: the batch reader, its differential against the reference line
 # parser (blocks of 1-512 bytes, one and two workers), and the streaming
 # reader against the batch one. It also fuzzes the subset block decode
-# (SubsetDecoder.CellBlock) against the per-key Cell decode. Go fuzzes one
+# (SubsetDecoder.CellBlock) against the per-key Cell decode, and the
+# freeze's radix key/count sort (sortKV) against sort.Sort. Go fuzzes one
 # target per invocation.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubsetCellBlock$$' -fuzztime $(FUZZTIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz '^FuzzSortKV$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # check is the gate every change must pass (see README "Development").
 check: vet build test race chaos chaos-serve serve-smoke alloc-check compare-smoke

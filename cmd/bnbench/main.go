@@ -51,7 +51,7 @@ func main() {
 		nList    = flag.String("nlist", "30,40,50", "comma-separated n values for fig4/fig5")
 		r        = flag.Int("r", 2, "states per variable")
 		maxP     = flag.Int("maxP", runtime.GOMAXPROCS(0), "largest worker count; sweep is 1,2,4,...,maxP")
-		reps     = flag.Int("reps", 3, "timing repetitions (best-of)")
+		reps     = flag.Int("reps", 3, "timing repetitions (best-of; -exp scan records every sample)")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		schedule = flag.String("schedule", "fused", "fig5 MI schedule: partition|pair|fused")
 		csvPath  = flag.String("csv", "", "also write long-form CSV to this file")
@@ -495,10 +495,10 @@ func runScan(ctx context.Context, m, n, r, maxP, reps int, seed uint64, artDir s
 	}
 
 	type row struct {
-		Path     string  `json:"path"`
-		P        int     `json:"p"`
-		FusedMIS float64 `json:"fused_mi_s"`
-		MargS    float64 `json:"marg_many_s"`
+		Path     string       `json:"path"`
+		P        int          `json:"p"`
+		FusedMIS bench.Timing `json:"fused_mi_s"`
+		MargS    bench.Timing `json:"marg_many_s"`
 	}
 	out := struct {
 		Experiment    string  `json:"experiment"`
@@ -529,7 +529,7 @@ func runScan(ctx context.Context, m, n, r, maxP, reps int, seed uint64, artDir s
 				fatal(context.Cause(ctx))
 			}
 			var mi *core.MIMatrix
-			miSec := bench.TimeBest(reps, func() {
+			miSec := bench.TimeSamples(reps, func() {
 				var err error
 				mi, err = pt.AllPairsMICtx(ctx, p, core.MIFused)
 				if err != nil {
@@ -537,7 +537,7 @@ func runScan(ctx context.Context, m, n, r, maxP, reps int, seed uint64, artDir s
 				}
 			})
 			var marg []*core.Marginal
-			margSec := bench.TimeBest(reps, func() {
+			margSec := bench.TimeSamples(reps, func() {
 				var err error
 				marg, err = pt.MarginalizeManyCtx(ctx, varsets, p)
 				if err != nil {
@@ -562,7 +562,7 @@ func runScan(ctx context.Context, m, n, r, maxP, reps int, seed uint64, artDir s
 				}
 			}
 			out.Rows = append(out.Rows, row{Path: path, P: p, FusedMIS: miSec, MargS: margSec})
-			fmt.Fprintf(os.Stderr, "scan: %s P=%d fused-mi %.3fs marg-many %.3fs\n", path, p, miSec, margSec)
+			fmt.Fprintf(os.Stderr, "scan: %s P=%d fused-mi %.3fs marg-many %.3fs (mean of %d)\n", path, p, miSec.Mean, margSec.Mean, reps)
 		}
 	}
 	if err := bench.EmitJSON("scan", artDir, out); err != nil {

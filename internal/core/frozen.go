@@ -114,16 +114,6 @@ func (ft *frozenTable) scan(ctx context.Context, p int, block func(w int, keys, 
 	})
 }
 
-// kvSlice co-sorts a partition's key and count columns by key.
-type kvSlice struct{ keys, counts []uint64 }
-
-func (s kvSlice) Len() int           { return len(s.keys) }
-func (s kvSlice) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s kvSlice) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
-}
-
 // FreezeStats summarizes one Freeze (or incremental re-freeze) operation.
 type FreezeStats struct {
 	Entries    int           // distinct keys captured in the snapshot
@@ -271,7 +261,7 @@ func drainSorted(part hashtable.Counter, keys, counts []uint64, pi int) error {
 	if n != len(keys) {
 		return fmt.Errorf("core: partition %d yielded %d entries, expected %d (table mutated during Freeze?)", pi, n, len(keys))
 	}
-	sort.Sort(kvSlice{keys: keys, counts: counts})
+	sortKV(keys, counts)
 	return nil
 }
 

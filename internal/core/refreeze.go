@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"waitfreebn/internal/faultinject"
@@ -120,7 +119,7 @@ func (d *deltaPart) seal() {
 	if n == 0 || d.over {
 		return
 	}
-	sort.Sort(kvSlice{keys: d.cur.keys, counts: d.cur.deltas})
+	sortKV(d.cur.keys, d.cur.deltas)
 	out := 0
 	for i := 0; i < n; i++ {
 		if out > 0 && d.cur.keys[i] == d.cur.keys[out-1] {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"waitfreebn/internal/encoding"
 	"waitfreebn/internal/hashtable"
@@ -48,28 +47,23 @@ func (t *PotentialTable) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	// Collect and sort entries for delta encoding and determinism.
-	type entry struct{ key, count uint64 }
-	entries := make([]entry, 0, t.Len())
+	keys, counts := make([]uint64, 0, t.Len()), make([]uint64, 0, t.Len())
 	t.Range(func(key, count uint64) bool {
-		entries = append(entries, entry{key, count})
+		keys, counts = append(keys, key), append(counts, count)
 		return true
 	})
-	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
+	sortKV(keys, counts)
 
-	if err := putUvarint(uint64(len(entries))); err != nil {
+	if err := putUvarint(uint64(len(keys))); err != nil {
 		return cw.n, err
 	}
 	prev := uint64(0)
-	for i, e := range entries {
-		delta := e.key - prev
-		if i == 0 {
-			delta = e.key
-		}
-		prev = e.key
-		if err := putUvarint(delta); err != nil {
+	for i, key := range keys {
+		if err := putUvarint(key - prev); err != nil {
 			return cw.n, err
 		}
-		if err := putUvarint(e.count); err != nil {
+		prev = key
+		if err := putUvarint(counts[i]); err != nil {
 			return cw.n, err
 		}
 	}
